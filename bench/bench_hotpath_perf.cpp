@@ -14,25 +14,12 @@
  * signal exactly in the sparse regime the sweep optimizations
  * target.
  *
- * Each unbatched reference row is followed by a batched
- * co-simulation grid (src/sim/batch.hh) at N = 1/4/8 lanes: N
- * same-topology scenarios (per-lane traffic and routing seeds)
- * advancing through one BatchedNetwork sweep. Batched rows report
- * *aggregate* lane-cycles/sec plus the per-lane rate, and
- * speedup_vs_unbatched = aggregate / the matching unbatched row —
- * i.e. the wall-clock win over running the same N scenarios
- * sequentially.
- *
- * A final space-sharded grid (src/sim/shard.hh) steps ONE large
- * topology (sn_subgr_1296, the biggest committed instance) with
- * 1/2/4 worker threads; those rows carry shards > 1 and
- * speedup_vs_unbatched = sharded / the 1-shard reference. Sharding
- * splits a single simulation across cores (latency), batching packs
- * many simulations onto one core (throughput) — the two grids answer
- * different questions and the `shards` column keeps them apart.
- * Shard scaling is core-count-bound: on a single-core host the
- * barrier overhead makes shards > 1 a slowdown, which the artifact
- * records honestly.
+ * A space-sharded grid (src/sim/shard.hh) steps ONE large topology
+ * (sn_subgr_1296, the biggest committed instance) with 1/2/4 worker
+ * threads; those rows carry shards > 1 and speedup_vs_serial =
+ * sharded / the 1-shard reference. Shard scaling is core-count-bound:
+ * on a single-core host the barrier overhead makes shards > 1 a
+ * slowdown, which the artifact records honestly.
  *
  * Results stream to stdout like every bench and are also written to
  * BENCH_hotpath.json (see SNOC_BENCH_OUT), giving successive commits
@@ -46,10 +33,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
-#include "sim/batch.hh"
 #include "sim/shard.hh"
 #include "sim/simulation.hh"
-#include "topo/topology_cache.hh"
 #include "workload/closed_loop.hh"
 
 namespace {
@@ -80,8 +65,7 @@ fmt(double v, const char *spec = "%.3g")
 
 struct PerfPoint
 {
-    double cyclesPerSec = 0.0; //!< aggregate lane-cycles per second
-    double perLaneCyclesPerSec = 0.0;
+    double cyclesPerSec = 0.0;
     double flitHopsPerSec = 0.0;
     double flitsPerSec = 0.0;
     double activeFraction = 0.0;
@@ -125,7 +109,6 @@ measure(const std::string &topoId, RoutingMode mode, double load)
     SimCounters delta = net.counters() - before;
 
     p.cyclesPerSec = static_cast<double>(p.cycles) / wall;
-    p.perLaneCyclesPerSec = p.cyclesPerSec;
     p.flitHopsPerSec = static_cast<double>(delta.linkFlitHops) / wall;
     p.flitsPerSec = static_cast<double>(delta.flitsDelivered) / wall;
     p.activeFraction =
@@ -137,90 +120,6 @@ measure(const std::string &topoId, RoutingMode mode, double load)
     p.nsPerCycleRouter =
         wall * 1e9 / std::max<double>(1.0,
                                       static_cast<double>(activeSum));
-    return p;
-}
-
-/**
- * N same-topology lanes through one BatchedNetwork sweep. Lanes get
- * distinct traffic and routing seeds (the campaign case: same
- * structure, different scenario state), so the per-lane work matches
- * the unbatched reference above while the sweep overhead is shared.
- */
-PerfPoint
-measureBatched(const std::string &topoId, RoutingMode mode,
-               double load, int lanes)
-{
-    auto topoPtr = TopologyCache::instance().getShared(topoId);
-    std::vector<BatchedNetwork::LaneSpec> specs(
-        static_cast<std::size_t>(lanes));
-    for (int l = 0; l < lanes; ++l)
-        specs[static_cast<std::size_t>(l)].routingSeed =
-            7 + static_cast<std::uint64_t>(l);
-    BatchedNetwork bn(topoPtr, RouterConfig::named("EB-Var"),
-                      LinkConfig{}, mode, specs);
-    bn.reservePackets(1u << 14);
-
-    auto pattern = std::shared_ptr<TrafficPattern>(
-        makeTrafficPattern(PatternKind::Random, bn.lane(0).topology()));
-    std::vector<TrafficSource> srcs;
-    for (int l = 0; l < lanes; ++l) {
-        SyntheticConfig sc;
-        sc.load = load;
-        sc.seed += static_cast<std::uint64_t>(l);
-        srcs.push_back(makeSyntheticSource(pattern, sc));
-    }
-
-    PerfPoint p;
-    Cycle warmup = fastMode() ? 300 : 2000;
-    p.cycles = fastMode() ? 1500 : 20000;
-    const std::uint64_t mask = bn.allLanes();
-
-    auto offerAll = [&] {
-        for (int l = 0; l < lanes; ++l)
-            srcs[static_cast<std::size_t>(l)](bn.lane(l),
-                                              bn.lane(l).now());
-    };
-    for (Cycle c = 0; c < warmup; ++c) {
-        offerAll();
-        bn.step(mask);
-    }
-
-    std::vector<SimCounters> before;
-    for (int l = 0; l < lanes; ++l)
-        before.push_back(bn.lane(l).counters());
-    std::uint64_t visitSum = 0;
-    double wall = 0.0;
-    for (Cycle c = 0; c < p.cycles; ++c) {
-        offerAll();
-        auto t0 = std::chrono::steady_clock::now();
-        bn.step(mask);
-        auto t1 = std::chrono::steady_clock::now();
-        wall += std::chrono::duration<double>(t1 - t0).count();
-        visitSum += bn.lastVisited();
-    }
-    wall = wall > 0.0 ? wall : 1e-9;
-
-    std::uint64_t hops = 0, delivered = 0;
-    for (int l = 0; l < lanes; ++l) {
-        SimCounters delta = bn.lane(l).counters() -
-                            before[static_cast<std::size_t>(l)];
-        hops += delta.linkFlitHops;
-        delivered += delta.flitsDelivered;
-    }
-
-    double laneCycles =
-        static_cast<double>(p.cycles) * static_cast<double>(lanes);
-    p.cyclesPerSec = laneCycles / wall;
-    p.perLaneCyclesPerSec = static_cast<double>(p.cycles) / wall;
-    p.flitHopsPerSec = static_cast<double>(hops) / wall;
-    p.flitsPerSec = static_cast<double>(delivered) / wall;
-    p.activeFraction =
-        static_cast<double>(visitSum) /
-        (laneCycles *
-         static_cast<double>(bn.lane(0).topology().numRouters()));
-    p.nsPerCycleRouter =
-        wall * 1e9 / std::max<double>(1.0,
-                                      static_cast<double>(visitSum));
     return p;
 }
 
@@ -271,7 +170,6 @@ measureSharded(const std::string &topoId, RoutingMode mode,
     SimCounters delta = net.counters() - before;
 
     p.cyclesPerSec = static_cast<double>(p.cycles) / wall;
-    p.perLaneCyclesPerSec = p.cyclesPerSec;
     p.flitHopsPerSec = static_cast<double>(delta.linkFlitHops) / wall;
     p.flitsPerSec = static_cast<double>(delta.flitsDelivered) / wall;
     p.activeFraction =
@@ -332,7 +230,6 @@ measureClosedLoop(const std::string &topoId, RoutingMode mode,
     SimCounters delta = net.counters() - before;
 
     p.cyclesPerSec = static_cast<double>(p.cycles) / wall;
-    p.perLaneCyclesPerSec = p.cyclesPerSec;
     p.flitHopsPerSec = static_cast<double>(delta.linkFlitHops) / wall;
     p.flitsPerSec = static_cast<double>(delta.flitsDelivered) / wall;
     p.activeFraction =
@@ -354,39 +251,31 @@ main()
     const RoutingMode modes[] = {RoutingMode::Minimal,
                                  RoutingMode::UgalL,
                                  RoutingMode::UgalG};
-    // Three regimes: 0.10 saturates the sweep (nearly every router
-    // is active, so batching is bounded by raw per-router cost and
-    // the lockstep working set), 0.01 is moderately sparse, and
-    // 0.001 is the near-idle regime — latency points at the bottom
-    // of every load sweep — where the batch's exact wake calendar
-    // skips the per-cycle O(routers + channels) worklist scan the
-    // unbatched loop always pays.
+    // Three regimes: 0.10 saturates the network (nearly every router
+    // is active, so the rate is bounded by raw per-router cost), 0.01
+    // is moderately sparse, and 0.001 is the near-idle regime —
+    // latency points at the bottom of every load sweep — where the
+    // per-cycle O(routers + channels) worklist scan dominates.
     const double loads[] = {0.10, 0.01, 0.001};
-
-    const int laneGrid[] = {1, 4, 8};
 
     PerfReport report("hotpath");
     report.out().beginTable(
-        "hot-path cycle-loop throughput (random traffic, EB-Var; "
-        "batched rows report aggregate lane-cycles/sec)",
-        {"topology", "routing", "load", "mode", "lanes", "shards",
-         "window", "cycles", "cycles_per_sec",
-         "per_lane_cycles_per_sec", "flit_hops_per_sec",
+        "hot-path cycle-loop throughput (random traffic, EB-Var)",
+        {"topology", "routing", "load", "mode", "shards", "window",
+         "cycles", "cycles_per_sec", "flit_hops_per_sec",
          "flits_delivered_per_sec", "active_router_fraction",
-         "ns_per_cycle_router", "speedup_vs_unbatched"});
+         "ns_per_cycle_router", "speedup_vs_serial"});
     // `window` is "-" everywhere except the closed-loop grid, whose
     // rows are keyed by (topology, routing, window, mode) and carry
     // no load knob ("-" in the load column).
     auto addRow = [&](const char *t, RoutingMode m,
                       const std::string &load, const char *kind,
-                      int lanes, int shards, const std::string &window,
+                      int shards, const std::string &window,
                       const PerfPoint &p, double speedup) {
         report.out().addRow(
-            {t, modeName(m), load, kind, std::to_string(lanes),
-             std::to_string(shards), window,
+            {t, modeName(m), load, kind, std::to_string(shards), window,
              std::to_string(static_cast<std::uint64_t>(p.cycles)),
              fmt(p.cyclesPerSec, "%.0f"),
-             fmt(p.perLaneCyclesPerSec, "%.0f"),
              fmt(p.flitHopsPerSec, "%.0f"),
              fmt(p.flitsPerSec, "%.0f"),
              fmt(p.activeFraction, "%.3f"),
@@ -395,17 +284,9 @@ main()
     };
     for (const char *t : topologies) {
         for (RoutingMode m : modes) {
-            for (double load : loads) {
-                PerfPoint ref = measure(t, m, load);
-                addRow(t, m, fmt(load, "%.3g"), "unbatched", 1, 1,
-                       "-", ref, 1.0);
-                for (int lanes : laneGrid) {
-                    PerfPoint p = measureBatched(t, m, load, lanes);
-                    addRow(t, m, fmt(load, "%.3g"), "batched", lanes,
-                           1, "-", p,
-                           p.cyclesPerSec / ref.cyclesPerSec);
-                }
-            }
+            for (double load : loads)
+                addRow(t, m, fmt(load, "%.3g"), "serial", 1, "-",
+                       measure(t, m, load), 1.0);
         }
     }
 
@@ -423,21 +304,20 @@ main()
             if (shards == 1)
                 ref = p;
             addRow("sn_subgr_1296", m, fmt(load, "%.3g"), "sharded",
-                   1, shards, "-", p,
-                   p.cyclesPerSec / ref.cyclesPerSec);
+                   shards, "-", p, p.cyclesPerSec / ref.cyclesPerSec);
         }
     }
 
     // Closed-loop grid: reactive request/reply traffic across window
     // depths. No speedup denominator applies (there is no matching
-    // unbatched open-loop row), so the column holds 1.0.
+    // open-loop row), so the column holds 1.0.
     const int windowGrid[] = {1, 4, 16};
     for (const char *t : {"sn_subgr_200", "t2d4"}) {
         for (RoutingMode m : {RoutingMode::Minimal,
                               RoutingMode::UgalL}) {
             for (int window : windowGrid) {
                 PerfPoint p = measureClosedLoop(t, m, window);
-                addRow(t, m, "-", "closed-loop", 1, 1,
+                addRow(t, m, "-", "closed-loop", 1,
                        std::to_string(window), p, 1.0);
             }
         }

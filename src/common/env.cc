@@ -1,6 +1,10 @@
 #include "common/env.hh"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/log.hh"
 
@@ -20,17 +24,11 @@ envKnobs()
         {kEnvBenchOut, ".", "directory path",
          "where perf-mode benches write BENCH_*.json artifacts and "
          "`snoc run` writes its default run manifest"},
-        {kEnvExpBatch, "8", "off, 0, 1, or lane count 2-64",
-         "same-topology co-simulation in the experiment engine: "
-         "compatible plan jobs share one batched router sweep "
-         "(results stay bitwise identical to unbatched runs); "
-         "off or 0 disables, 1 enables the default 8 lanes, 2-64 "
-         "caps lanes per batch (RunnerOptions::batchLanes overrides)"},
         {kEnvExpIsolate, "off", "off, fork",
          "process-isolated scenario execution: each evaluation runs "
          "in a forked child and returns its result over a pipe, so a "
          "crash or sanitizer abort is contained to one failed row "
-         "(disables lane batching; RunnerOptions::isolate overrides)"},
+         "(RunnerOptions::isolate overrides)"},
         {kEnvExpJobTimeout, "0 (no timeout)",
          "wall-clock seconds",
          "per-scenario watchdog: an evaluation exceeding the budget "
@@ -70,28 +68,44 @@ envKnobs()
          "space-sharded cycle loop: step each big-topology synthetic "
          "simulation with N threads (bitwise identical to serial; "
          "see sim/shard.hh); off/0/1 keeps the serial loop, 2-64 "
-         "sets the shard count and disables lane batching "
-         "(RunnerOptions::simShards overrides)"},
+         "sets the shard count (RunnerOptions::simShards overrides)"},
     };
     return kKnobs;
 }
 
 namespace {
 
+bool
+declared(std::string_view name)
+{
+    return std::any_of(envKnobs().begin(), envKnobs().end(),
+                       [name](const EnvKnob &k) { return k.name == name; });
+}
+
 /** Raw getenv behind a registration check: undeclared reads are bugs. */
 const char *
 rawDeclared(const char *name)
 {
-    [[maybe_unused]] bool declared = false;
-    for (const EnvKnob &k : envKnobs())
-        if (std::string(k.name) == name)
-            declared = true;
-    SNOC_ASSERT(declared, "env knob '", name,
+    SNOC_ASSERT(declared(name), "env knob '", name,
                 "' is not declared in envKnobs()");
     return std::getenv(name);
 }
 
 } // namespace
+
+std::vector<std::string>
+undeclaredEnvKnobs()
+{
+    std::vector<std::string> names;
+    for (char **e = environ; e && *e; ++e) {
+        std::string_view entry(*e);
+        std::string_view name = entry.substr(0, entry.find('='));
+        if (name.starts_with("SNOC_") && !declared(name))
+            names.emplace_back(name);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
 
 std::string
 envRaw(const char *name)

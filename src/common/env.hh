@@ -32,6 +32,13 @@ struct EnvKnob
 /** All declared knobs, in documentation order. */
 const std::vector<EnvKnob> &envKnobs();
 
+/**
+ * Names of the SNOC_* variables set in the environment that
+ * envKnobs() does not declare — retired or misspelled knobs, which
+ * nothing reads — sorted.
+ */
+std::vector<std::string> undeclaredEnvKnobs();
+
 /** The knob's current raw value, or "" when unset. */
 std::string envRaw(const char *name);
 
@@ -51,7 +58,6 @@ std::string envString(const char *name, const std::string &fallback);
 inline constexpr const char *kEnvBenchFast = "SNOC_BENCH_FAST";
 inline constexpr const char *kEnvBenchFormat = "SNOC_BENCH_FORMAT";
 inline constexpr const char *kEnvBenchOut = "SNOC_BENCH_OUT";
-inline constexpr const char *kEnvExpBatch = "SNOC_EXP_BATCH";
 inline constexpr const char *kEnvExpIsolate = "SNOC_EXP_ISOLATE";
 inline constexpr const char *kEnvExpJobTimeout =
     "SNOC_EXP_JOB_TIMEOUT";

@@ -50,7 +50,7 @@ struct Job
  * Energy metrics derived from a point's measurement-window counters
  * by the analytical PowerModel. A pure function of (scenario,
  * SimResult), evaluated by the runner after execution, so the values
- * are bitwise identical across serial, batched, and sharded runs.
+ * are bitwise identical across serial and sharded runs.
  * `valid` is false unless the scenario's energy spec is enabled.
  */
 struct EnergyMetrics

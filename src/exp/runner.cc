@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -23,7 +22,6 @@
 #include "exp/result_store.hh"
 #include "exp/serialize.hh"
 #include "power/power_model.hh"
-#include "sim/batch.hh"
 #include "sim/shard.hh"
 #include "topo/topology_cache.hh"
 #include "trace/trace.hh"
@@ -44,26 +42,6 @@ resolveThreads(int requested)
         return n;
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-int
-resolveBatchLanes(int requested)
-{
-    int lanes = requested;
-    if (lanes < 0) {
-        std::string raw = envRaw(kEnvExpBatch);
-        if (raw.empty() || raw == "1")
-            lanes = 8; // on by default: results are identical
-        else if (raw == "off" || raw == "0")
-            lanes = 0;
-        else {
-            int n = std::atoi(raw.c_str());
-            lanes = n >= 2 ? n : 8;
-        }
-    }
-    if (lanes <= 1)
-        return 0;
-    return std::min(lanes, BatchedNetwork::kMaxLanes);
 }
 
 constexpr int kMaxShards = 64;
@@ -125,15 +103,6 @@ bool
 testHookEnabled()
 {
     return envRaw(kEnvExpTestHook) == "1";
-}
-
-/** True when the scenario is a test-hook trigger (hook enabled). */
-bool
-testHookScenario(const Scenario &s)
-{
-    return testHookEnabled() &&
-           (s.label == kHookCrash || s.label == kHookHang ||
-            s.label == kHookFail);
 }
 
 /**
@@ -294,8 +263,8 @@ runScenarioIsolated(const Scenario &s, long timeoutMs)
 /**
  * Build the traffic source a scenario asks for (synthetic,
  * closed-loop, or collective; trace workloads never reach here).
- * Shared by the serial, sharded, and batched execution paths so the
- * same Scenario always drives the same source in every mode.
+ * Shared by the serial and sharded execution paths so the same
+ * Scenario always drives the same source in every mode.
  */
 TrafficSource
 makeScenarioSource(const Scenario &s, const NocTopology &topo)
@@ -324,7 +293,12 @@ makeScenarioSource(const Scenario &s, const NocTopology &topo)
     return makeSyntheticSource(std::move(pattern), sc);
 }
 
-/** Attach energy metrics to every point of every job result. */
+/**
+ * Attach energy metrics to every point of every job result. Runs
+ * after execution on the assembled results — a pure function of
+ * (scenario, sim) — so the metrics cannot depend on how the points
+ * were executed.
+ */
 void
 applyEnergyMetrics(std::vector<JobResult> &results)
 {
@@ -362,7 +336,6 @@ evaluateEnergy(const Scenario &s, const SimResult &r)
 
 ExperimentRunner::ExperimentRunner(RunnerOptions opts)
     : threads_(resolveThreads(opts.threads)),
-      batchLanes_(resolveBatchLanes(opts.batchLanes)),
       simShards_(resolveSimShards(opts.simShards)),
       isolate_(resolveIsolate(opts.isolate)),
       timeoutMs_(resolveTimeoutMs(opts.jobTimeoutMs)),
@@ -372,14 +345,6 @@ ExperimentRunner::ExperimentRunner(RunnerOptions opts)
     // A watchdog can only ever kill a process, not a thread.
     if (timeoutMs_ > 0)
         isolate_ = true;
-    // Isolation children evaluate one scenario each, serially.
-    if (isolate_)
-        batchLanes_ = 0;
-    // Sharding (one big simulation across threads) and lane batching
-    // (many small simulations on one thread) pull the execution in
-    // opposite directions; shards win when both are requested.
-    if (simShards_ >= 2)
-        batchLanes_ = 0;
 }
 
 SimResult
@@ -547,313 +512,6 @@ ExperimentRunner::runJob(const Job &job) const
     return out;
 }
 
-// --- batched execution ------------------------------------------------------
-
-namespace {
-
-/** One batchable evaluation point: (job, point slot, scenario). */
-struct BatchUnit
-{
-    std::size_t job = 0;
-    std::size_t point = 0;
-    Scenario scenario;
-};
-
-/**
- * A job is batchable when its evaluation points are known up front
- * and independent: Single jobs, and Sweeps that evaluate every load
- * unconditionally. Saturation searches pick each probe from the
- * previous result, stop-at-saturation sweeps abort mid-grid, and
- * workload traffic drives reply-dependent sources — those keep the
- * sequential path.
- */
-bool
-batchableJob(const Job &job)
-{
-    if (job.scenario.traffic.kind == TrafficSpec::Kind::Workload)
-        return false;
-    switch (job.kind) {
-    case Job::Kind::Single:
-        return true;
-    case Job::Kind::Sweep:
-        return !job.stopAtSaturation && !job.loads.empty();
-    case Job::Kind::Saturation:
-        return false;
-    }
-    return false;
-}
-
-/** Scenarios may share a BatchedNetwork iff they build identical
- *  immutable structure: same topology, router microarchitecture,
- *  link config, and routing mode. (Seeds, loads, patterns, fault
- *  plans, and sim windows are per-lane state.) */
-std::string
-batchKey(const Scenario &s)
-{
-    std::string k = s.topology;
-    k += '\x1f';
-    k += s.routerConfig;
-    k += '\x1f';
-    k += std::to_string(s.link.hopsPerCycle);
-    k += '\x1f';
-    k += std::to_string(static_cast<int>(s.routing));
-    return k;
-}
-
-/** Run one chunk of same-structure units as BatchedNetwork lanes. */
-void
-runBatchChunk(const std::vector<const BatchUnit *> &chunk,
-              std::vector<JobResult> &results)
-{
-    const Scenario &s0 = chunk.front()->scenario;
-    auto topo = TopologyCache::instance().getShared(s0.topology);
-    RouterConfig rc = RouterConfig::named(s0.routerConfig);
-
-    std::vector<BatchedNetwork::LaneSpec> specs;
-    specs.reserve(chunk.size());
-    for (const BatchUnit *u : chunk)
-        specs.push_back({u->scenario.routingSeed, u->scenario.faults});
-    BatchedNetwork bn(topo, rc, s0.link, s0.routing, specs);
-
-    std::vector<BatchLaneSim> lanes;
-    lanes.reserve(chunk.size());
-    for (const BatchUnit *u : chunk)
-        lanes.push_back(
-            {makeScenarioSource(u->scenario, *topo), u->scenario.sim});
-
-    std::vector<SimResult> res = runBatchedSimulation(bn, lanes);
-    for (std::size_t l = 0; l < chunk.size(); ++l) {
-        const BatchUnit &u = *chunk[l];
-        results[u.job].points[u.point] = {u.scenario, res[l]};
-    }
-}
-
-} // namespace
-
-void
-ExperimentRunner::runBatched(const ExperimentPlan &plan,
-                             const std::vector<bool> &done,
-                             std::vector<JobResult> &results) const
-{
-    std::size_t total = plan.jobs.size();
-
-    // Classify jobs and expand batchable ones into evaluation points
-    // with pre-sized result slots (a non-stopping sweep evaluates
-    // every load, so the point count is known here). Jobs already
-    // completed by a resumed journal are skipped outright; points
-    // present in the result store fill their slot here and never
-    // become units. Test-hook scenarios take the fallback path so
-    // injected failures flow through the same retry/policy pipeline
-    // as unbatched execution.
-    std::vector<BatchUnit> units;
-    std::vector<std::size_t> fallbackJobs;
-    std::vector<std::size_t> cachedJobs; //!< fully served by store
-    std::vector<std::size_t> remaining(total, 0);
-    auto tryCache = [this](const Scenario &s, JobResult &job,
-                           ScenarioResult &slot) {
-        if (!opts_.store)
-            return false;
-        if (std::optional<SimResult> hit =
-                opts_.store->lookup(resultKey(s))) {
-            ++job.cacheHits;
-            slot = {s, *hit};
-            return true;
-        }
-        ++job.cacheMisses;
-        return false;
-    };
-    for (std::size_t i = 0; i < total; ++i) {
-        if (done[i])
-            continue;
-        const Job &job = plan.jobs[i];
-        if (!batchableJob(job) || testHookScenario(job.scenario)) {
-            fallbackJobs.push_back(i);
-            remaining[i] = 1;
-            continue;
-        }
-        results[i].kind = job.kind;
-        if (job.kind == Job::Kind::Single) {
-            results[i].points.resize(1);
-            if (!tryCache(job.scenario, results[i],
-                          results[i].points[0])) {
-                units.push_back({i, 0, job.scenario});
-                remaining[i] = 1;
-            }
-        } else {
-            results[i].points.resize(job.loads.size());
-            for (std::size_t k = 0; k < job.loads.size(); ++k) {
-                Scenario s = job.scenario;
-                applySweepValue(s, job.loads[k]);
-                if (tryCache(s, results[i], results[i].points[k]))
-                    continue;
-                units.push_back({i, k, std::move(s)});
-                ++remaining[i];
-            }
-        }
-        if (remaining[i] == 0)
-            cachedJobs.push_back(i);
-    }
-
-    // Group compatible units (std::map: deterministic group order),
-    // then cut each group into lane-capped chunks. Units stay in
-    // plan order within a group; chunk composition is therefore a
-    // pure function of the plan, independent of thread count —
-    // and lane membership cannot change a result anyway (the
-    // determinism contract batch_test enforces).
-    std::map<std::string, std::vector<std::size_t>> groups;
-    for (std::size_t u = 0; u < units.size(); ++u)
-        groups[batchKey(units[u].scenario)].push_back(u);
-
-    struct Task
-    {
-        std::vector<const BatchUnit *> chunk; //!< empty => fallback
-        std::size_t fallbackJob = 0;
-    };
-    std::vector<Task> tasks;
-    std::size_t cap = static_cast<std::size_t>(batchLanes_);
-    for (const auto &[key, g] : groups) {
-        for (std::size_t off = 0; off < g.size(); off += cap) {
-            Task t;
-            std::size_t end = std::min(g.size(), off + cap);
-            for (std::size_t u = off; u < end; ++u)
-                t.chunk.push_back(&units[g[u]]);
-            tasks.push_back(std::move(t));
-        }
-    }
-    for (std::size_t j : fallbackJobs)
-        tasks.push_back(Task{{}, j});
-
-    // Progress fires when a job's last evaluation point lands, so
-    // callers still see (jobs done, jobs total) exactly `total`
-    // times, batched or not; jobDone fires at the same moment, after
-    // the job's status is finalized from its rows.
-    std::mutex reportMutex;
-    std::size_t jobsDone = 0;
-    for (std::size_t i = 0; i < total; ++i)
-        if (done[i])
-            ++jobsDone; // resumed jobs count as already finished
-    auto finishJob = [&](std::size_t job) {
-        // Called under reportMutex, once the job's last unit landed.
-        for (const ScenarioResult &p : results[job].points) {
-            if (!p.ok) {
-                results[job].status = JobStatus::Failed;
-                results[job].error = p.error;
-                break;
-            }
-        }
-        if (opts_.jobDone)
-            opts_.jobDone(job, results[job]);
-        if (opts_.progress)
-            opts_.progress(++jobsDone, total);
-    };
-    auto noteUnitsDone = [&](const Task &t, double chunkMs) {
-        std::lock_guard<std::mutex> lock(reportMutex);
-        auto noteJob = [&](std::size_t job, double shareMs) {
-            results[job].wallMs += shareMs;
-            if (--remaining[job] == 0)
-                finishJob(job);
-        };
-        if (t.chunk.empty()) {
-            // runJob measured its own wall time already.
-            noteJob(t.fallbackJob, 0.0);
-        } else {
-            // Lanes share one cycle loop; attribute the chunk's wall
-            // time evenly across its units.
-            double share = chunkMs / static_cast<double>(
-                                         t.chunk.size());
-            for (const BatchUnit *u : t.chunk)
-                noteJob(u->job, share);
-        }
-    };
-
-    // Jobs fully served by the store complete before the pool even
-    // starts, in plan order.
-    for (std::size_t job : cachedJobs) {
-        std::lock_guard<std::mutex> lock(reportMutex);
-        finishJob(job);
-    }
-
-    auto runTask = [&](const Task &t) {
-        if (t.chunk.empty()) {
-            results[t.fallbackJob] = runJob(plan.jobs[t.fallbackJob]);
-            noteUnitsDone(t, 0.0);
-            return;
-        }
-        auto c0 = std::chrono::steady_clock::now();
-        try {
-            if (t.chunk.size() == 1) {
-                // One lane amortizes nothing; take the plain path.
-                const BatchUnit *u = t.chunk[0];
-                SimResult r = runScenario(u->scenario);
-                results[u->job].points[u->point] = {u->scenario, r};
-                if (opts_.store)
-                    opts_.store->put(resultKey(u->scenario),
-                                     u->scenario, r);
-            } else {
-                runBatchChunk(t.chunk, results);
-                if (opts_.store)
-                    for (const BatchUnit *u : t.chunk)
-                        opts_.store->put(
-                            resultKey(u->scenario), u->scenario,
-                            results[u->job].points[u->point].sim);
-            }
-        } catch (const std::exception &e) {
-            if (opts_.onFailure == FailurePolicy::Abort)
-                throw;
-            // One bad lane spec poisons its whole chunk (they share
-            // a network build); every affected slot becomes a failed
-            // row and the campaign keeps going.
-            for (const BatchUnit *u : t.chunk) {
-                ScenarioResult fail;
-                fail.scenario = u->scenario;
-                fail.ok = false;
-                fail.error = e.what();
-                results[u->job].points[u->point] = std::move(fail);
-            }
-        }
-        double chunkMs = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - c0)
-                             .count();
-        noteUnitsDone(t, chunkMs);
-    };
-
-    int workers =
-        std::min<int>(threads_, static_cast<int>(tasks.size()));
-    if (workers <= 1) {
-        for (const Task &t : tasks)
-            runTask(t);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::mutex errorMutex;
-    std::exception_ptr firstError;
-    auto worker = [&]() {
-        while (!failed.load(std::memory_order_relaxed)) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= tasks.size())
-                return;
-            try {
-                runTask(tasks[i]);
-            } catch (...) {
-                failed.store(true, std::memory_order_relaxed);
-                std::lock_guard<std::mutex> lock(errorMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
-            }
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
-    if (firstError)
-        std::rethrow_exception(firstError);
-}
-
 std::vector<JobResult>
 ExperimentRunner::run(const ExperimentPlan &plan) const
 {
@@ -877,15 +535,6 @@ ExperimentRunner::run(const ExperimentPlan &plan) const
                 ++resumed;
             }
         }
-    }
-
-    if (batchLanes_ >= 2) {
-        runBatched(plan, completed, results);
-        // Energy is evaluated after execution, from the already-
-        // assembled results: a pure function of (scenario, sim), so
-        // the metrics cannot differ between execution modes.
-        applyEnergyMetrics(results);
-        return results;
     }
 
     std::vector<std::size_t> pending;

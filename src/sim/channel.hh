@@ -62,27 +62,6 @@ class FlitChannel
     /** Number of credits currently in flight. */
     std::size_t creditsInFlight() const { return credits_.size(); }
 
-    /** True when at least one flit has arrived by `now` (front of the
-     *  ring, since arrivals are pushed in nondecreasing time). */
-    bool
-    hasArrivedFlits(Cycle now) const
-    {
-        return !flits_.empty() && flits_.front().at <= now;
-    }
-
-    /** True when at least one credit has arrived by `now`. */
-    bool
-    hasArrivedCredits(Cycle now) const
-    {
-        return !credits_.empty() && credits_.front().at <= now;
-    }
-
-    /** Arrival cycle of the oldest in-flight flit. @pre non-empty. */
-    Cycle frontFlitArrival() const { return flits_.front().at; }
-
-    /** Arrival cycle of the oldest in-flight credit. @pre non-empty. */
-    Cycle frontCreditArrival() const { return credits_.front().at; }
-
     /** Pre-size the flit ring (attaching router knows the bound). */
     void reserveFlits(std::size_t n) { flits_.reserve(n); }
 

@@ -89,7 +89,7 @@ Network::armFaults(const FaultPlan &faults)
     // Re-anchor the path tables on the live graph so every later
     // rebuild (and the offer-time reachability guard) sees the
     // degraded topology.
-    paths_ = std::make_shared<const ShortestPaths>(*liveGraph_);
+    paths_ = std::make_unique<const ShortestPaths>(*liveGraph_);
 }
 
 bool
@@ -197,7 +197,7 @@ Network::applyPendingFaults()
         return;
 
     rebuildLiveGraph();
-    paths_ = std::make_shared<const ShortestPaths>(*liveGraph_);
+    paths_ = std::make_unique<const ShortestPaths>(*liveGraph_);
     routing_->onTopologyChange(*liveGraph_);
     if (anyDown)
         purgeAfterFaults();

@@ -3,30 +3,17 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "sim/batch.hh"
 
 namespace snoc {
 
 Network::Network(const NocTopology &topo, const RouterConfig &router,
                  const LinkConfig &link, RoutingMode mode,
                  std::uint64_t seed, const FaultPlan &faults)
-    : topo_(std::make_shared<const NocTopology>(topo)),
+    : topo_(std::make_unique<const NocTopology>(topo)),
       routerCfg_(router), linkCfg_(link)
 {
     SNOC_ASSERT(linkCfg_.hopsPerCycle >= 1, "H must be >= 1");
     build(seed, mode, faults);
-}
-
-Network::Network(std::shared_ptr<const NocTopology> topo,
-                 const RouterConfig &router, const LinkConfig &link,
-                 RoutingMode mode, std::uint64_t seed,
-                 const FaultPlan &faults,
-                 std::shared_ptr<const ShortestPaths> sharedPaths)
-    : topo_(std::move(topo)), routerCfg_(router), linkCfg_(link)
-{
-    SNOC_ASSERT(topo_ != nullptr, "null shared topology");
-    SNOC_ASSERT(linkCfg_.hopsPerCycle >= 1, "H must be >= 1");
-    build(seed, mode, faults, std::move(sharedPaths));
 }
 
 int
@@ -38,13 +25,10 @@ Network::linkLatencyFor(int distance) const
 
 void
 Network::build(std::uint64_t seed, RoutingMode mode,
-               const FaultPlan &faults,
-               std::shared_ptr<const ShortestPaths> sharedPaths)
+               const FaultPlan &faults)
 {
     routing_ = makeRouting(*topo_, mode, seed, faults.active());
-    paths_ = sharedPaths
-                 ? std::move(sharedPaths)
-                 : std::make_shared<const ShortestPaths>(topo_->routers());
+    paths_ = std::make_unique<const ShortestPaths>(topo_->routers());
 
     const Graph &g = topo_->routers();
     routers_.reserve(static_cast<std::size_t>(g.numVertices()));
@@ -187,8 +171,6 @@ Network::offerPacket(int srcNode, int dstNode, int sizeFlits,
     pkt.tag = tag;
     routing_->onInject(pkt, *this);
     sourceQueues_[static_cast<std::size_t>(srcNode)].push_back(h);
-    if (batchObs_)
-        batchObs_->noteOffer(batchLane_, srcNode);
 }
 
 int

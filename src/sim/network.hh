@@ -36,7 +36,6 @@
 
 namespace snoc {
 
-class BatchedNetwork;
 class ShardedNetwork;
 
 /** Wire / SMART configuration. */
@@ -84,21 +83,6 @@ class Network : public NetworkState
             const LinkConfig &link = {},
             RoutingMode mode = RoutingMode::Minimal,
             std::uint64_t seed = 7, const FaultPlan &faults = {});
-
-    /**
-     * Shared-structure constructor: the topology (and optionally the
-     * fault-free ShortestPaths table) is shared read-only instead of
-     * copied, so N same-topology instances — TopologyCache users and
-     * BatchedNetwork lanes — pay for one copy total. Behavior is
-     * bit-identical to the copying constructor; a fault event that
-     * rewrites paths replaces this instance's pointer only
-     * (copy-on-write), leaving the shared table untouched.
-     */
-    Network(std::shared_ptr<const NocTopology> topo,
-            const RouterConfig &router, const LinkConfig &link = {},
-            RoutingMode mode = RoutingMode::Minimal,
-            std::uint64_t seed = 7, const FaultPlan &faults = {},
-            std::shared_ptr<const ShortestPaths> sharedPaths = nullptr);
 
     const NocTopology &topology() const { return *topo_; }
     Cycle now() const { return now_; }
@@ -235,21 +219,17 @@ class Network : public NetworkState
     int pathOccupancy(int srcRouter, int dstRouter) const override;
 
   private:
-    // BatchedNetwork drives lanes through the same per-cycle phases
-    // as step(), via a leaner visit schedule; it needs the same
-    // internal access the Network itself has.
-    friend class BatchedNetwork;
     // ShardedNetwork (src/sim/shard.hh) runs the same phases on
     // partition-owned router subsets across threads, with barriers
     // between phases; it drives pumpNode/collectArrivals/step/drain
     // and the delivery merge directly over these internals.
     friend class ShardedNetwork;
 
-    std::shared_ptr<const NocTopology> topo_;
+    std::unique_ptr<const NocTopology> topo_;
     RouterConfig routerCfg_;
     LinkConfig linkCfg_;
     std::unique_ptr<RoutingAlgorithm> routing_;
-    std::shared_ptr<const ShortestPaths> paths_; //!< for pathOccupancy
+    std::unique_ptr<const ShortestPaths> paths_; //!< for pathOccupancy
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<FlitChannel>> channels_;
     // Router woken by each channel's in-flight flits / credits.
@@ -266,11 +246,6 @@ class Network : public NetworkState
     Cycle now_ = 0;
     bool stateAttached_ = false;
     std::uint64_t nextPacketId_ = 1;
-    // Set when this Network is a lane of a BatchedNetwork: offers are
-    // reported so the batch sweep can pump only nodes with queued
-    // packets. Null (one predicted-not-taken branch) when unbatched.
-    BatchedNetwork *batchObs_ = nullptr;
-    int batchLane_ = 0;
     // Heap-allocated so routers' pointers stay valid if the Network
     // is moved (factories return Network by value).
     std::unique_ptr<PacketPool> pool_ = std::make_unique<PacketPool>();
@@ -297,8 +272,7 @@ class Network : public NetworkState
         chanIndexByPtr_; //!< purge: router port -> channel index
 
     void build(std::uint64_t seed, RoutingMode mode,
-               const FaultPlan &faults,
-               std::shared_ptr<const ShortestPaths> sharedPaths = nullptr);
+               const FaultPlan &faults);
     void pumpInjection();
     // Injection counters go through the parameter so sharded callers
     // can direct them into per-shard counters (serial callers pass

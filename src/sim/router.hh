@@ -113,15 +113,6 @@ class Router
     /** Phase 1: absorb arriving flits and credits. */
     void collectArrivals(Cycle now);
 
-    /**
-     * Phase 1, lean variant: identical effect to collectArrivals()
-     * — same flits/credits absorbed in the same order with the same
-     * counter updates — but prechecks each channel's ring front so
-     * ports with nothing arrived cost one branch instead of two
-     * drain calls. Used by the batched sweep.
-     */
-    void collectArrivalsLean(Cycle now);
-
     /** Phase 2: route, manage the CB, allocate the switch, send. */
     void step(Cycle now);
 
@@ -156,10 +147,6 @@ class Router
     // src/sim/fault_injection.cc); the two are coupled by
     // construction anyway (the Network wires every port).
     friend class Network;
-    // The batched sweep (src/sim/batch.cc) drives the same phases
-    // through an arrival-exact wake calendar and needs the port
-    // tables to schedule wakes from channel fronts.
-    friend class BatchedNetwork;
     // The sharded loop (src/sim/shard.cc) repoints counters_ at
     // per-shard counters so worker threads never share a counter
     // cache line; everything else it drives is public phase API.

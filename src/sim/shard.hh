@@ -43,10 +43,10 @@
  *    counters every epilogue, so counters() is exact at every
  *    boundary.
  *
- * Shard-vs-batch rule of thumb: BatchedNetwork (sim/batch.hh)
- * parallelizes *many small* same-topology scenarios on one thread;
- * ShardedNetwork parallelizes *one big* topology across threads.
- * They do not compose — the experiment runner picks at most one.
+ * Sharding parallelizes *one big* topology across threads; the
+ * experiment runner's worker pool parallelizes *many* scenarios, one
+ * per thread. With shards >= 2 the runner divides its pool by the
+ * shard count, so a plan claims about `threads` cores in total.
  */
 
 #ifndef SNOC_SIM_SHARD_HH

@@ -28,6 +28,11 @@ NocTopology::NocTopology(std::string name, Graph routers,
     }
     numNodes_ = firstNode_.back();
     SNOC_ASSERT(numNodes_ > 0, "topology has no nodes");
+    routerOfNode_.reserve(static_cast<std::size_t>(numNodes_));
+    for (std::size_t r = 0; r < nodesPerRouter_.size(); ++r)
+        routerOfNode_.insert(routerOfNode_.end(),
+                             static_cast<std::size_t>(nodesPerRouter_[r]),
+                             static_cast<int>(r));
     SNOC_ASSERT(routers_.isConnected(), "router graph disconnected");
     if (expectedDiameter >= 0) {
         int d = routers_.diameter();
@@ -58,16 +63,6 @@ NocTopology::routerRadix() const
         best = std::max(best, routers_.degree(r) + concentrationOf(r));
     }
     return best;
-}
-
-int
-NocTopology::routerOfNode(int node) const
-{
-    SNOC_ASSERT(node >= 0 && node < numNodes_, "node out of range");
-    // Binary search the prefix sums.
-    auto it = std::upper_bound(firstNode_.begin(), firstNode_.end(),
-                               node);
-    return static_cast<int>(it - firstNode_.begin()) - 1;
 }
 
 int

@@ -84,8 +84,12 @@ class NocTopology
     /** Router radix k = k' + p for the widest router. */
     int routerRadix() const;
 
-    /** The router a node is attached to. */
-    int routerOfNode(int node) const;
+    /** The router a node is attached to. @pre 0 <= node < numNodes(). */
+    int
+    routerOfNode(int node) const
+    {
+        return routerOfNode_[static_cast<std::size_t>(node)];
+    }
 
     /** The nodes attached to a router: [first, first + count). */
     int firstNodeOfRouter(int router) const;
@@ -106,6 +110,7 @@ class NocTopology
     Placement placement_;
     std::vector<int> nodesPerRouter_;
     std::vector<int> firstNode_;
+    std::vector<int> routerOfNode_; //!< node -> attached router
     int numNodes_;
     double cycleTimeNs_;
     RoutingHint routingHint_;

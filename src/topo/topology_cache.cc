@@ -7,7 +7,7 @@ namespace snoc {
 struct TopologyCache::Entry
 {
     std::once_flag once;
-    std::shared_ptr<const NocTopology> topo;
+    std::unique_ptr<const NocTopology> topo;
 };
 
 TopologyCache &
@@ -19,12 +19,6 @@ TopologyCache::instance()
 
 const NocTopology &
 TopologyCache::get(const std::string &id)
-{
-    return *getShared(id);
-}
-
-std::shared_ptr<const NocTopology>
-TopologyCache::getShared(const std::string &id)
 {
     // The cache-wide mutex only guards the map; the expensive
     // topology construction happens outside it so distinct ids
@@ -48,7 +42,7 @@ TopologyCache::getShared(const std::string &id)
     try {
         std::call_once(entry->once, [&] {
             entry->topo =
-                std::make_shared<const NocTopology>(makeNamedTopology(id));
+                std::make_unique<const NocTopology>(makeNamedTopology(id));
         });
     } catch (...) {
         // Failed builds (unknown id) must not leave a poisoned
@@ -60,7 +54,7 @@ TopologyCache::getShared(const std::string &id)
             map_.erase(it);
         throw;
     }
-    return entry->topo;
+    return *entry->topo;
 }
 
 std::size_t

@@ -42,14 +42,6 @@ class TopologyCache
      */
     const NocTopology &get(const std::string &id);
 
-    /**
-     * Shared-ownership handle on a cached topology, for consumers
-     * that outlive clear() or share the instance across Network
-     * lanes without copying (Network's shared-structure constructor,
-     * BatchedNetwork). Builds on first use like get().
-     */
-    std::shared_ptr<const NocTopology> getShared(const std::string &id);
-
     /** Lookups served from the cache. */
     std::size_t hits() const;
 

@@ -12,7 +12,7 @@
  * model.
  *
  * Determinism contract (the layer must be bitwise identical under
- * the serial, batched and space-sharded drivers):
+ * the serial and space-sharded drivers):
  *  - all offers happen inside the TrafficSource call, which every
  *    driver runs serially once per cycle — chain continuations
  *    created by delivery callbacks are parked in a cycle-ordered

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -99,6 +100,39 @@ TEST(Cli, ListKnobsCoversTheRegistry)
     for (const EnvKnob &k : envKnobs())
         EXPECT_NE(out.find(std::string("`") + k.name + "`"),
                   std::string::npos);
+}
+
+TEST(Cli, UndeclaredKnobsAreReportedOnStderrOnly)
+{
+    std::string cleanOut, cleanErr;
+    ASSERT_EQ(cli({"describe", "plans/ci_smoke.json"}, &cleanOut,
+                  &cleanErr),
+              0);
+
+    // A retired knob and a misspelled one: one stderr line each, in
+    // name order; stdout and the exit code unchanged.
+    ::setenv("SNOC_RETIRED_KNOB", "off", 1);
+    ::setenv("SNOC_EXP_THREAD", "4", 1);
+    std::string out, err;
+    int rc = cli({"describe", "plans/ci_smoke.json"}, &out, &err);
+    ::unsetenv("SNOC_RETIRED_KNOB");
+    ::unsetenv("SNOC_EXP_THREAD");
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(out, cleanOut);
+    std::vector<std::string> warnings = lines(err);
+    ASSERT_EQ(warnings.size(), lines(cleanErr).size() + 2) << err;
+    auto at = [&](const std::string &name) {
+        return std::find_if(warnings.begin(), warnings.end(),
+                            [&](const std::string &w) {
+                                return w.rfind("warning: " + name +
+                                                   " is set",
+                                               0) == 0;
+                            }) -
+               warnings.begin();
+    };
+    EXPECT_LT(at("SNOC_EXP_THREAD"), at("SNOC_RETIRED_KNOB"));
+    EXPECT_LT(at("SNOC_RETIRED_KNOB"),
+              static_cast<std::ptrdiff_t>(warnings.size()));
 }
 
 TEST(Cli, UsageAndErrors)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace snoc {
@@ -32,8 +33,8 @@ TEST(Env, RegistryDeclaresEveryKnob)
     EXPECT_EQ(names,
               (std::vector<std::string>{
                   "SNOC_BENCH_FAST", "SNOC_BENCH_FORMAT",
-                  "SNOC_BENCH_OUT", "SNOC_EXP_BATCH",
-                  "SNOC_EXP_ISOLATE", "SNOC_EXP_JOB_TIMEOUT",
+                  "SNOC_BENCH_OUT", "SNOC_EXP_ISOLATE",
+                  "SNOC_EXP_JOB_TIMEOUT",
                   "SNOC_EXP_RETRIES", "SNOC_EXP_TEST_HOOK",
                   "SNOC_EXP_THREADS", "SNOC_FUZZ_ITERS",
                   "SNOC_FUZZ_SEED", "SNOC_PLAN_DIR",
@@ -43,6 +44,28 @@ TEST(Env, RegistryDeclaresEveryKnob)
         EXPECT_STRNE(k.values, "");
         EXPECT_STRNE(k.effect, "");
     }
+}
+
+TEST(Env, UndeclaredKnobsAreListed)
+{
+    auto listed = [](const std::string &name) {
+        std::vector<std::string> u = undeclaredEnvKnobs();
+        return std::find(u.begin(), u.end(), name) != u.end();
+    };
+    EXPECT_FALSE(listed("SNOC_RETIRED_KNOB"));
+    {
+        ScopedEnv retired("SNOC_RETIRED_KNOB", "off");
+        ScopedEnv misspelled("SNOC_EXP_THREAD", "4");
+        ScopedEnv declaredKnob(kEnvExpThreads, "4");
+        ScopedEnv foreign("NOT_SNOC_EXP_THREADS", "1");
+        std::vector<std::string> u = undeclaredEnvKnobs();
+        EXPECT_TRUE(listed("SNOC_RETIRED_KNOB"));
+        EXPECT_TRUE(listed("SNOC_EXP_THREAD"));
+        EXPECT_FALSE(listed(kEnvExpThreads));
+        EXPECT_FALSE(listed("NOT_SNOC_EXP_THREADS"));
+        EXPECT_TRUE(std::is_sorted(u.begin(), u.end()));
+    }
+    EXPECT_FALSE(listed("SNOC_RETIRED_KNOB"));
 }
 
 TEST(Env, FlagAccessor)

@@ -102,7 +102,6 @@ TEST(ResultStore, RunnerServesCachedPointsIdentically)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     opts.store = &store;
 
     std::vector<JobResult> cold = ExperimentRunner(opts).run(plan);
@@ -124,26 +123,35 @@ TEST(ResultStore, RunnerServesCachedPointsIdentically)
     }
 }
 
-TEST(ResultStore, BatchedRunnerUsesTheStoreToo)
+TEST(ResultStore, ParallelColdRunServesASerialWarmRun)
 {
-    TempDir dir("batched");
+    TempDir dir("parallel");
     ResultStore store(dir.path);
 
     ExperimentPlan plan;
     plan.addSweep(tinyScenario(), {0.02, 0.04, 0.06}, false);
+    plan.add(tinyScenario(0.03));
+    plan.add(tinyScenario(0.05));
 
-    RunnerOptions opts;
-    opts.threads = 1;
-    opts.batchLanes = 4; // force the lane-batched path
-    opts.store = &store;
+    RunnerOptions coldOpts;
+    coldOpts.threads = 4;
+    coldOpts.store = &store;
+    RunnerOptions warmOpts;
+    warmOpts.threads = 1;
+    warmOpts.store = &store;
 
-    std::vector<JobResult> cold = ExperimentRunner(opts).run(plan);
+    std::vector<JobResult> cold = ExperimentRunner(coldOpts).run(plan);
     ASSERT_EQ(cold[0].cacheMisses, 3);
-    std::vector<JobResult> warm = ExperimentRunner(opts).run(plan);
-    EXPECT_EQ(warm[0].cacheHits, 3);
-    EXPECT_EQ(warm[0].cacheMisses, 0);
-    for (std::size_t p = 0; p < 3; ++p)
-        EXPECT_TRUE(cold[0].points[p].sim == warm[0].points[p].sim);
+    std::vector<JobResult> warm = ExperimentRunner(warmOpts).run(plan);
+    ASSERT_EQ(warm.size(), cold.size());
+    for (std::size_t i = 0; i < warm.size(); ++i) {
+        EXPECT_EQ(warm[i].cacheMisses, 0) << "job " << i;
+        EXPECT_EQ(warm[i].cacheHits,
+                  static_cast<int>(warm[i].points.size()))
+            << "job " << i;
+        for (std::size_t p = 0; p < warm[i].points.size(); ++p)
+            EXPECT_TRUE(cold[i].points[p].sim == warm[i].points[p].sim);
+    }
 }
 
 TEST(ResultStore, StaleStampIsAMissAndPruneEvictsIt)

@@ -17,7 +17,13 @@
  *    purge and reroute coherently under sharding, with the shard-aware
  *    auditInvariants recounting boundary in-flight flits mid-run;
  *  - the audit itself runs while traffic is crossing shard boundaries,
- *    proving mailbox (channel) flits are counted exactly once.
+ *    proving mailbox (channel) flits are counted exactly once;
+ *  - a seeded fuzz sweep (SNOC_FUZZ_SEED / SNOC_FUZZ_ITERS) replays
+ *    random scenarios, faults included, serially and sharded.
+ *
+ * Faulted serial runs on their own are pinned to fingerprints too,
+ * with Network::auditInvariants checked mid-run, so a change to the
+ * fault purge shows up even where both engines would agree.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "sim/shard.hh"
 #include "topo/table4.hh"
 
@@ -77,15 +84,17 @@ hashDelivery(Fingerprint &fp, const Packet &p)
     ++fp.packets;
 }
 
-/** The hotpath goldens' schedule seed. */
+/** The hotpath goldens' schedule seed; variant > 0 perturbs it so
+ *  several runs on one topology carry distinct traffic. */
 std::uint64_t
-scheduleSeed(const std::string &topoId, RoutingMode mode)
+scheduleSeed(const std::string &topoId, RoutingMode mode,
+             int variant = 0)
 {
     std::uint64_t s =
         0xabcdef12 ^ (mode == RoutingMode::UgalL ? 77 : 0);
     for (const char ch : topoId)
         s = s * 131 + static_cast<std::uint64_t>(ch);
-    return s;
+    return s + static_cast<std::uint64_t>(variant) * 0x9e3779b9ULL;
 }
 
 /** Offer the golden schedule's two packets for one cycle. */
@@ -117,11 +126,13 @@ finishFingerprint(Fingerprint &fp, const Network &net)
 constexpr int kOfferCycles = 1200;
 constexpr int kDrainLimit = 30000;
 
-/** The serial reference: the hotpath test's exact loop. */
+/** The serial reference: the hotpath test's exact loop. Audits the
+ *  network every `auditEvery` cycles when nonzero. */
 Fingerprint
 runSerial(const std::string &topoId, const std::string &routerCfg,
           RoutingMode mode, std::uint64_t seed,
-          std::uint64_t routingSeed = 7, const FaultPlan &faults = {})
+          std::uint64_t routingSeed = 7, const FaultPlan &faults = {},
+          int auditEvery = 0)
 {
     Network net(makeNamedTopology(topoId),
                 RouterConfig::named(routerCfg), LinkConfig{}, mode,
@@ -129,16 +140,29 @@ runSerial(const std::string &topoId, const std::string &routerCfg,
     Fingerprint fp;
     net.setDeliveryCallback(
         [&fp](const Packet &p) { hashDelivery(fp, p); });
+    auto audit = [&](int cycle) {
+        if (auditEvery == 0 || cycle % auditEvery != 0)
+            return;
+        std::string err;
+        ASSERT_TRUE(net.auditInvariants(err))
+            << "cycle " << cycle << ": " << err;
+    };
     std::uint64_t s = seed;
-    for (int c = 0; c < kOfferCycles; ++c) {
+    int cycle = 0;
+    for (int c = 0; c < kOfferCycles; ++c, ++cycle) {
         offerCycle(net, s);
         net.step();
+        audit(cycle);
     }
     for (int c = 0;
          c < kDrainLimit &&
          net.flitsInFlight() + net.sourceQueueDepth() > 0;
-         ++c)
+         ++c, ++cycle) {
         net.step();
+        audit(cycle);
+    }
+    std::string err;
+    EXPECT_TRUE(net.auditInvariants(err)) << err;
     finishFingerprint(fp, net);
     return fp;
 }
@@ -330,6 +354,96 @@ TEST(ShardFaults, PurgeAndRerouteMatchSerial)
             expectEqual(fp, serial,
                         "plan " + std::to_string(p) + " shards=" +
                             std::to_string(shards));
+        }
+    }
+}
+
+// --- faulted serial runs vs pinned fingerprints -----------------------------
+
+TEST(SerialFaults, FaultPlansMatchPinnedFingerprints)
+{
+    // Each plan runs on its own perturbed schedule: a link kill, 5%
+    // random link failures, and a router kill with a later repair.
+    // The fingerprints were captured when these runs were also
+    // checked bitwise against an independent co-simulation engine.
+    struct Pinned
+    {
+        FaultPlan plan;
+        std::uint64_t deliveryHash;
+        std::uint64_t packets;
+        std::uint64_t packetsDropped;
+    };
+    std::vector<Pinned> pinned = {
+        {FaultPlan{}.linkDown(0, 1, 300), 6769943661683062733ULL, 2349,
+         0},
+        {FaultPlan::randomLinkFailures(0.05, 400, 99),
+         11409371652071512951ULL, 2344, 0},
+        {FaultPlan{}.routerDown(3, 500).routerUp(3, 900),
+         8669632917644580095ULL, 2280, 5},
+    };
+    pinned[0].plan.armed = true;
+    pinned[2].plan.armed = true;
+
+    const std::string topoId = "sn_54";
+    const RoutingMode mode = RoutingMode::Minimal;
+    for (std::size_t p = 0; p < pinned.size(); ++p) {
+        std::uint64_t seed =
+            scheduleSeed(topoId, mode, static_cast<int>(p) + 1);
+        Fingerprint fp = runSerial(topoId, "EB-Var", mode, seed, 7,
+                                   pinned[p].plan, /*auditEvery=*/100);
+        std::string what = "plan " + std::to_string(p);
+        EXPECT_TRUE(fp.drained) << what;
+        EXPECT_EQ(fp.deliveryHash, pinned[p].deliveryHash) << what;
+        EXPECT_EQ(fp.packets, pinned[p].packets) << what;
+        EXPECT_EQ(fp.counters.packetsDropped, pinned[p].packetsDropped)
+            << what;
+        EXPECT_GT(fp.counters.faultEvents, 0u) << what;
+        expectEqual(runSharded(topoId, "EB-Var", mode, 3, seed, 7,
+                               pinned[p].plan, /*auditEvery=*/100),
+                    fp, what + " shards=3");
+    }
+}
+
+// --- seeded fuzz: random scenarios, serial vs sharded -----------------------
+
+TEST(ShardFuzz, RandomScenariosMatchSerialReplays)
+{
+    const std::uint64_t baseSeed = envU64(kEnvFuzzSeed, 0xb47c4ed5ULL);
+    const std::uint64_t iters = envU64(kEnvFuzzIters, 3);
+
+    const char *topos[] = {"sn_54", "cm4"};
+    const char *cfgs[] = {"EB-Var", "CBR-6"};
+
+    for (std::uint64_t it = 0; it < iters; ++it) {
+        std::uint64_t s = baseSeed + it * 0x9e3779b97f4a7c15ULL;
+        std::uint64_t r = splitmix(s);
+        const std::string topoId = topos[r & 1];
+        const std::string routerCfg = cfgs[(r >> 8) & 1];
+        RoutingMode mode = ((r >> 16) & 1) ? RoutingMode::UgalL
+                                           : RoutingMode::Minimal;
+        int runs = 2 + static_cast<int>((r >> 24) % 4);
+        SCOPED_TRACE("replay with SNOC_FUZZ_SEED=" +
+                     std::to_string(baseSeed + it * 0x9e3779b97f4a7c15ULL) +
+                     " SNOC_FUZZ_ITERS=1 | " + topoId + "/" +
+                     routerCfg + " runs=" + std::to_string(runs));
+
+        for (int k = 0; k < runs; ++k) {
+            std::uint64_t rk = splitmix(s);
+            std::uint64_t routingSeed = 1 + (rk & 0xff);
+            FaultPlan faults;
+            if ((rk >> 8 & 3) == 0)
+                faults = FaultPlan::randomLinkFailures(
+                    0.02 + 0.04 * ((rk >> 10 & 3) / 3.0),
+                    200 + (rk >> 16 & 511), rk >> 32);
+            int shards = 2 + static_cast<int>((rk >> 40) % 3);
+            std::uint64_t seed = splitmix(s);
+            expectEqual(
+                runSharded(topoId, routerCfg, mode, shards, seed,
+                           routingSeed, faults, /*auditEvery=*/250),
+                runSerial(topoId, routerCfg, mode, seed, routingSeed,
+                          faults, /*auditEvery=*/250),
+                "fuzz run " + std::to_string(k) + " shards=" +
+                    std::to_string(shards));
         }
     }
 }

@@ -2,8 +2,8 @@
  * @file
  * Collective workload tests: exact chain/phase accounting for
  * broadcast, barrier and all-to-all schedules, token conservation
- * under faults, and bitwise equivalence of the serial, batched-lane
- * and space-sharded execution modes.
+ * under faults, and bitwise equivalence across worker-thread counts
+ * and the serial and space-sharded execution modes.
  */
 
 #include <gtest/gtest.h>
@@ -155,10 +155,10 @@ TEST(Collective, FaultDropsResolveTokensInsteadOfWedgingThePhase)
     EXPECT_EQ(rig.cs.state->openTokens(), 0u);
 }
 
-TEST(Collective, SerialBatchedShardedBitwiseIdentical)
+TEST(Collective, ThreadCountsAndShardsBitwiseIdentical)
 {
-    // Unlimited rounds span the measurement window; two collective
-    // singles of the same shape batch into one BatchedNetwork.
+    // Unlimited rounds span the measurement window; the two
+    // collective singles run concurrently at four workers.
     CollectiveSpec bcast;
     bcast.kind = CollectiveKind::Broadcast;
     bcast.gapCycles = 5;
@@ -174,23 +174,20 @@ TEST(Collective, SerialBatchedShardedBitwiseIdentical)
 
     RunnerOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.batchLanes = 0;
-    RunnerOptions batchedOpts;
-    batchedOpts.threads = 1;
-    batchedOpts.batchLanes = 4;
+    RunnerOptions parallelOpts;
+    parallelOpts.threads = 4;
     RunnerOptions shardedOpts;
     shardedOpts.threads = 1;
-    shardedOpts.batchLanes = 0;
     shardedOpts.simShards = 3;
 
     auto serial = ExperimentRunner(serialOpts).run(plan);
-    auto batched = ExperimentRunner(batchedOpts).run(plan);
+    auto parallel = ExperimentRunner(parallelOpts).run(plan);
     auto sharded = ExperimentRunner(shardedOpts).run(plan);
     ASSERT_EQ(serial.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
         const SimResult &a = serial[i].points[0].sim;
-        const SimResult &b = batched[i].points[0].sim;
+        const SimResult &b = parallel[i].points[0].sim;
         const SimResult &c = sharded[i].points[0].sim;
         EXPECT_EQ(a.throughput, b.throughput);
         EXPECT_EQ(a.avgPacketLatency, b.avgPacketLatency);
