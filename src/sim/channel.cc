@@ -19,30 +19,12 @@ FlitChannel::pushFlit(Flit flit, Cycle now, int extraDelay)
 }
 
 void
-FlitChannel::popArrivedFlits(Cycle now, std::vector<Flit> &out)
-{
-    while (!flits_.empty() && flits_.front().at <= now) {
-        out.push_back(flits_.front().flit);
-        flits_.pop_front();
-    }
-}
-
-void
 FlitChannel::pushCredit(int vc, Cycle now)
 {
     Cycle arrival = now + static_cast<Cycle>(latency_);
     SNOC_ASSERT(credits_.empty() || credits_.back().at <= arrival,
                 "non-monotonic credit arrival");
     credits_.push_back(TimedCredit{arrival, vc});
-}
-
-void
-FlitChannel::popArrivedCredits(Cycle now, std::vector<int> &out)
-{
-    while (!credits_.empty() && credits_.front().at <= now) {
-        out.push_back(credits_.front().vc);
-        credits_.pop_front();
-    }
 }
 
 void

@@ -47,14 +47,30 @@ class FlitChannel
     void pushFlit(Flit flit, Cycle now, int extraDelay = 0);
 
     /** Append all flits that have arrived by `now` to `out`
-     *  (ordered); `out` is the caller's reusable scratch vector. */
-    void popArrivedFlits(Cycle now, std::vector<Flit> &out);
+     *  (ordered); `out` is the caller's reusable scratch vector.
+     *  Inline: routers poll every channel each visit, and most polls
+     *  find nothing. */
+    void
+    popArrivedFlits(Cycle now, std::vector<Flit> &out)
+    {
+        while (!flits_.empty() && flits_.front().at <= now) {
+            out.push_back(flits_.front().flit);
+            flits_.pop_front();
+        }
+    }
 
     /** Return a credit for `vc`; arrives upstream at now + latency. */
     void pushCredit(int vc, Cycle now);
 
     /** Append all credits that have arrived by `now` to `out`. */
-    void popArrivedCredits(Cycle now, std::vector<int> &out);
+    void
+    popArrivedCredits(Cycle now, std::vector<int> &out)
+    {
+        while (!credits_.empty() && credits_.front().at <= now) {
+            out.push_back(credits_.front().vc);
+            credits_.pop_front();
+        }
+    }
 
     /** Number of flits currently in flight. */
     std::size_t flitsInFlight() const { return flits_.size(); }

@@ -613,6 +613,25 @@ Network::auditInvariants(std::string &err) const
                     return fail(oss.str());
                 }
             }
+
+            // Port-activity words vs the per-port masks just checked.
+            std::uint64_t inActive = 0;
+            std::uint64_t outActive = 0;
+            for (std::size_t p = 0; p < rt.inputs_.size(); ++p) {
+                if (rt.inputs_[p].occMask)
+                    inActive |= std::uint64_t{1} << p;
+                const Router::OutputPort &op = rt.outputs_[p];
+                if (op.ownedMask | op.reqMask | op.cbMask)
+                    outActive |= std::uint64_t{1} << p;
+            }
+            if (rt.inActive_ != inActive ||
+                rt.outActive_ != outActive) {
+                oss << "router " << rt.id_
+                    << ": port-activity words diverged (in "
+                    << rt.inActive_ << "/" << inActive << ", out "
+                    << rt.outActive_ << "/" << outActive << ")";
+                return fail(oss.str());
+            }
         }
 
         // Per-VC credit conservation on every outgoing link:

@@ -173,7 +173,9 @@ class Network : public NetworkState
      * Exhaustive structural audit for the test suite's invariant
      * layer (tests/support/sim_invariants.hh): per-VC credit
      * conservation across every channel, buffered-flit recounts,
-     * central-buffer occupancy/reservation consistency. Returns
+     * central-buffer occupancy/reservation consistency, and the
+     * routers' occupancy counters, sweep masks and port-activity
+     * words against from-scratch scans. Returns
      * false and fills `err` on the first violation. Not a hot-path
      * facility — it walks the whole network.
      */

@@ -16,7 +16,6 @@ Router::Router(int id, const RouterConfig &cfg,
     numVcs_ = cfg_.numVcs > 0 ? cfg_.numVcs : routing.numVcs();
     SNOC_ASSERT(numVcs_ >= routing.numVcs(),
                 "router has fewer VCs than the routing scheme needs");
-    masksEnabled_ = numVcs_ <= 64;
 }
 
 int
@@ -93,6 +92,9 @@ Router::finalize(int numRouters)
 {
     SNOC_ASSERT(inputs_.size() == outputs_.size(),
                 "ports are added input/output-paired");
+    // Sweep masks index VCs and ports by bit position; wider routers
+    // keep the dense sweep.
+    masksEnabled_ = numVcs_ <= 64 && inputs_.size() <= 64;
     inputBusy_.assign(inputs_.size(), false);
     if (cfg_.arch == RouterArch::CentralBuffer) {
         cbCapacity_ = cfg_.centralBufferFlits;
@@ -168,7 +170,7 @@ Router::injectFlit(int localIndex, Flit flit)
     SNOC_ASSERT(static_cast<int>(vc.buffer.size()) < vc.capacity,
                 "injection queue overflow");
     vc.buffer.push_back(flit);
-    markVcOccupied(ip, 0);
+    markVcOccupied(ip, port, 0);
     ++bufferedFlits_;
     ++counters_->bufferWrites;
 }
@@ -176,10 +178,9 @@ Router::injectFlit(int localIndex, Flit flit)
 void
 Router::collectArrivals(Cycle now)
 {
-    for (std::size_t p = 0; p < inputs_.size(); ++p) {
-        InputPort &ip = inputs_[p];
-        if (!ip.in)
-            continue;
+    // Only network ports have channels: they are [0, numNetPorts_).
+    for (int p = 0; p < numNetPorts_; ++p) {
+        InputPort &ip = inputs_[static_cast<std::size_t>(p)];
         flitScratch_.clear();
         ip.in->popArrivedFlits(now, flitScratch_);
         for (const Flit &flit : flitScratch_) {
@@ -189,15 +190,13 @@ Router::collectArrivals(Cycle now)
                         "credit protocol violated: input VC overflow "
                         "at router ", id_);
             vc.buffer.push_back(flit);
-            markVcOccupied(ip, flit.vc);
+            markVcOccupied(ip, p, flit.vc);
             ++bufferedFlits_;
             ++counters_->bufferWrites;
         }
     }
-    for (std::size_t p = 0; p < outputs_.size(); ++p) {
-        OutputPort &op = outputs_[p];
-        if (!op.out)
-            continue;
+    for (int p = 0; p < numNetPorts_; ++p) {
+        OutputPort &op = outputs_[static_cast<std::size_t>(p)];
         creditScratch_.clear();
         op.out->popArrivedCredits(now, creditScratch_);
         occToward_[static_cast<std::size_t>(op.neighbor)] -=
@@ -208,9 +207,8 @@ Router::collectArrivals(Cycle now)
 }
 
 void
-Router::routeHeads(Cycle now)
+Router::routeHeads()
 {
-    (void)now;
     auto routeVc = [this](InputPort &ip, std::size_t v) {
         InputVc &ivc = ip.vcs[v];
         if (ivc.routed)
@@ -248,17 +246,20 @@ Router::routeHeads(Cycle now)
         addRequest(ivc.outPort, ivc.outVc);
     };
 
-    for (std::size_t p = 0; p < inputs_.size(); ++p) {
-        InputPort &ip = inputs_[p];
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1)
-                routeVc(ip, static_cast<std::size_t>(
-                                std::countr_zero(m)));
-        } else {
+    if (!masksEnabled_) {
+        for (InputPort &ip : inputs_)
             for (std::size_t v = 0; v < ip.vcs.size(); ++v)
                 if (!ip.vcs[v].buffer.empty())
                     routeVc(ip, v);
-        }
+        return;
+    }
+    // Routing changes no input mask, so the active words are stable
+    // for the whole walk.
+    for (std::uint64_t pm = inActive_; pm; pm &= pm - 1) {
+        InputPort &ip =
+            inputs_[static_cast<std::size_t>(std::countr_zero(pm))];
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1)
+            routeVc(ip, static_cast<std::size_t>(std::countr_zero(m)));
     }
 }
 
@@ -287,7 +288,7 @@ Router::cbIntakeFrom(InputPort &ip, int p, int v, Cycle now)
         return false; // another packet mid-append to this queue
     Flit flit = ivc.buffer.front();
     ivc.buffer.pop_front();
-    markVcDrained(ip, v);
+    markVcDrained(ip, p, v);
     ++counters_->bufferReads;
     ++counters_->cbWrites;
     ++cbOccupied_;
@@ -300,9 +301,7 @@ Router::cbIntakeFrom(InputPort &ip, int p, int v, Cycle now)
     q.appender = flit.tail ? kInvalidPacket : pkt;
     bool tail = flit.tail;
     q.flits.push_back(flit);
-    if (masksEnabled_)
-        outputs_[static_cast<std::size_t>(ivc.outPort)].cbMask |=
-            std::uint64_t{1} << ivc.outVc;
+    setOutputMask(ivc.outPort, &OutputPort::cbMask, ivc.outVc);
     if (ip.in)
         ip.in->pushCredit(v, now);
     inputBusy_[static_cast<std::size_t>(p)] = true;
@@ -361,10 +360,10 @@ Router::step(Cycle now)
     cbOutputBusy_ = false;
     cbInputBusy_ = false;
 
-    routeHeads(now);
+    routeHeads();
     switchAllocate(now);
     if (cfg_.arch == RouterArch::CentralBuffer) {
-        cbDivert(now);
+        cbDivert();
         cbIntake(now);
     }
 }
@@ -380,10 +379,20 @@ Router::switchAllocate(Cycle now)
     // per cycle from cycle 0) and lets the Network skip idle routers
     // without perturbing arbitration.
     int base = static_cast<int>(now % static_cast<Cycle>(numOutputs));
-    for (int k = 0; k < numOutputs; ++k) {
-        int port = (base + k) % numOutputs;
-        tryGrantOutput(port, now);
+    if (!masksEnabled_) {
+        for (int k = 0; k < numOutputs; ++k)
+            tryGrantOutput((base + k) % numOutputs, now);
+        return;
     }
+    // Visit the active ports in the order base, base+1, ..., base-1.
+    // A port outside outActive_ has no VC that can act, and a grant
+    // at one port changes only that port's masks, so walking a
+    // snapshot skips exactly the ports the dense sweep finds idle.
+    std::uint64_t act = outActive_;
+    for (std::uint64_t m = act >> base; m; m &= m - 1)
+        tryGrantOutput(base + std::countr_zero(m), now);
+    for (std::uint64_t m = act & (bit(base) - 1); m; m &= m - 1)
+        tryGrantOutput(std::countr_zero(m), now);
 }
 
 bool
@@ -401,14 +410,11 @@ Router::tryGrantOutput(int port, Cycle now)
     // provable no-op for the dense sweep too. Visit candidates in
     // the exact round-robin order rrVc, rrVc+1, ..., rrVc-1.
     std::uint64_t cand = op.ownedMask | op.reqMask | op.cbMask;
-    if (!cand)
-        return false;
     int r = op.rrVc;
     for (std::uint64_t m = cand >> r; m; m &= m - 1)
         if (tryGrantOutputVc(port, r + std::countr_zero(m), now))
             return true;
-    for (std::uint64_t m = cand & ((std::uint64_t{1} << r) - 1); m;
-         m &= m - 1)
+    for (std::uint64_t m = cand & (bit(r) - 1); m; m &= m - 1)
         if (tryGrantOutputVc(port, std::countr_zero(m), now))
             return true;
     return false;
@@ -427,20 +433,19 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
     // busy flag in step — one copy each so they cannot desync.
     auto releaseOwner = [&] {
         ovc.owner = VcOwner();
-        if (masksEnabled_)
-            op.ownedMask &= ~(std::uint64_t{1} << vc);
+        clearOutputMask(port, &OutputPort::ownedMask, vc);
     };
     auto popCbAndSend = [&](CbQueue &q) {
         Flit flit = q.flits.front();
         q.flits.pop_front();
-        if (masksEnabled_ && q.flits.empty())
-            op.cbMask &= ~(std::uint64_t{1} << vc);
+        if (q.flits.empty())
+            clearOutputMask(port, &OutputPort::cbMask, vc);
         ++counters_->cbReads;
         --cbOccupied_;
         --cbReserved_;
         cbOutputBusy_ = true;
         bool tail = flit.tail;
-        sendFlit(port, vc, flit, now, true);
+        sendFlit(port, vc, flit, now);
         if (tail)
             releaseOwner();
         op.rrVc = (vc + 1) % numVcs_;
@@ -470,7 +475,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         int ownerPort = ovc.owner.inputPort;
         Flit flit = ivc.buffer.front();
         ivc.buffer.pop_front();
-        markVcDrained(ip, ownerVc);
+        markVcDrained(ip, ownerPort, ownerVc);
         ++counters_->bufferReads;
         if (ip.in) {
             ip.in->pushCredit(ownerVc, now);
@@ -478,7 +483,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         inputBusy_[static_cast<std::size_t>(ownerPort)] = true;
         --ivc.flitsLeft;
         bool tail = flit.tail;
-        sendFlit(port, vc, flit, now, false);
+        sendFlit(port, vc, flit, now);
         if (tail) {
             releaseOwner();
             ivc.routed = false;
@@ -504,8 +509,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         if (!q.flits.empty() && q.flits.front().head) {
             ovc.owner.kind = VcOwner::Kind::Cb;
             ovc.owner.pkt = q.flits.front().pkt;
-            if (masksEnabled_)
-                op.ownedMask |= std::uint64_t{1} << vc;
+            setOutputMask(port, &OutputPort::ownedMask, vc);
             popCbAndSend(q);
             return true;
         }
@@ -529,7 +533,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         // the bypass path.)
         Flit flit = ivc.buffer.front();
         ivc.buffer.pop_front();
-        markVcDrained(ip, static_cast<int>(v));
+        markVcDrained(ip, ipIdx, static_cast<int>(v));
         ++counters_->bufferReads;
         if (ip.in)
             ip.in->pushCredit(static_cast<int>(v), now);
@@ -539,11 +543,10 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         ovc.owner.inputPort = ipIdx;
         ovc.owner.inputVc = static_cast<int>(v);
         ovc.owner.pkt = flit.pkt;
-        if (masksEnabled_)
-            op.ownedMask |= std::uint64_t{1} << vc;
+        setOutputMask(port, &OutputPort::ownedMask, vc);
         ++pool_->get(flit.pkt).hops;
         bool tail = flit.tail;
-        sendFlit(port, vc, flit, now, false);
+        sendFlit(port, vc, flit, now);
         if (tail) {
             releaseOwner();
             ivc.routed = false;
@@ -554,30 +557,45 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         return true;
     };
 
-    for (int ki = 0; ki < numInputs; ++ki) {
-        int ipIdx = (op.rrInput + ki) % numInputs;
-        if (inputBusy_[static_cast<std::size_t>(ipIdx)])
-            continue;
-        InputPort &ip = inputs_[static_cast<std::size_t>(ipIdx)];
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1)
-                if (tryRequester(ipIdx, static_cast<std::size_t>(
-                                            std::countr_zero(m))))
-                    return true;
-        } else {
+    if (!masksEnabled_) {
+        for (int ki = 0; ki < numInputs; ++ki) {
+            int ipIdx = (op.rrInput + ki) % numInputs;
+            if (inputBusy_[static_cast<std::size_t>(ipIdx)])
+                continue;
+            InputPort &ip = inputs_[static_cast<std::size_t>(ipIdx)];
             for (std::size_t v = 0; v < ip.vcs.size(); ++v)
                 if (!ip.vcs[v].buffer.empty() && tryRequester(ipIdx, v))
                     return true;
         }
+        return false;
     }
-
+    // A requester holds a buffered head flit, so only ports in
+    // inActive_ can win; visit them in the order rrInput,
+    // rrInput+1, ..., rrInput-1. Nothing changes a mask before the
+    // grant that ends the search.
+    auto tryPort = [&](int ipIdx) {
+        if (inputBusy_[static_cast<std::size_t>(ipIdx)])
+            return false;
+        const InputPort &ip = inputs_[static_cast<std::size_t>(ipIdx)];
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1)
+            if (tryRequester(ipIdx, static_cast<std::size_t>(
+                                        std::countr_zero(m))))
+                return true;
+        return false;
+    };
+    int r = op.rrInput;
+    for (std::uint64_t m = inActive_ >> r; m; m &= m - 1)
+        if (tryPort(r + std::countr_zero(m)))
+            return true;
+    for (std::uint64_t m = inActive_ & (bit(r) - 1); m; m &= m - 1)
+        if (tryPort(std::countr_zero(m)))
+            return true;
     return false;
 }
 
 void
-Router::cbDivert(Cycle now)
+Router::cbDivert()
 {
-    (void)now;
     // Section 4.1: on a conflict at the output port a packet takes
     // the central-buffer path. A head conflicts when its output VC
     // is owned by another packet or has no downstream space; a free
@@ -632,7 +650,7 @@ Router::cbDivert(Cycle now)
 }
 
 void
-Router::sendFlit(int port, int vc, Flit flit, Cycle now, bool fromCb)
+Router::sendFlit(int port, int vc, Flit flit, Cycle now)
 {
     OutputPort &op = outputs_[static_cast<std::size_t>(port)];
     ++counters_->crossbarTraversals;
@@ -651,7 +669,6 @@ Router::sendFlit(int port, int vc, Flit flit, Cycle now, bool fromCb)
     } else {
         op.ejectionQueue.push_back(flit);
     }
-    (void)fromCb;
 }
 
 void
@@ -705,6 +722,15 @@ Router::rebuildSweepState()
             std::size_t vc = qi % static_cast<std::size_t>(numVcs_);
             outputs_[port].cbMask |= std::uint64_t{1} << vc;
         }
+    }
+    inActive_ = 0;
+    outActive_ = 0;
+    for (std::size_t p = 0; p < inputs_.size(); ++p) {
+        if (inputs_[p].occMask)
+            inActive_ |= std::uint64_t{1} << p;
+        const OutputPort &op = outputs_[p];
+        if (op.ownedMask | op.reqMask | op.cbMask)
+            outActive_ |= std::uint64_t{1} << p;
     }
 }
 

@@ -39,10 +39,20 @@
  *    requested / CB-backed output VCs) let routeHeads, the switch
  *    allocator, and the CB stages visit only VCs that can act, which
  *    matters most under UGAL's numVcs = 2 * diameter where almost
- *    every VC is empty at any instant. Mask iteration preserves the
- *    exact round-robin visit order, so arbitration is bit-identical
- *    to the dense sweep (enforced by the hotpath goldens); routers
- *    with more than 64 VCs fall back to the dense sweep.
+ *    every VC is empty at any instant;
+ *  - two router-level port-activity words sit above those masks:
+ *    bit p of inActive_ is set iff input port p has an occupied VC,
+ *    and bit p of outActive_ iff output port p has an owned,
+ *    requested or CB-backed VC. routeHeads, the switch allocator
+ *    and its per-VC requester search walk only their set bits, so
+ *    an idle port of a high-radix router costs nothing;
+ *    collectArrivals visits only the network ports, whose inlined
+ *    channel pops cost one compare when idle.
+ *
+ * Mask iteration preserves the exact round-robin visit order, so
+ * arbitration is bit-identical to the dense sweep (enforced by the
+ * hotpath goldens). Routers with more than 64 VCs or more than 64
+ * ports fall back to the dense sweep.
  *
  * The fault purge rewrites router state wholesale and then calls
  * rebuildSweepState(); Network::auditInvariants() recounts every
@@ -239,7 +249,12 @@ class Router
     SimCounters *counters_;
     int numVcs_;
     int numNetPorts_ = 0;
-    bool masksEnabled_ = true; //!< numVcs_ fits one mask word
+    bool masksEnabled_ = true; //!< numVcs_ and the port count each
+                               //!< fit one mask word (set in
+                               //!< finalize)
+    std::uint64_t inActive_ = 0;  //!< bit p: inputs_[p].occMask != 0
+    std::uint64_t outActive_ = 0; //!< bit p: outputs_[p] has a bit set
+                                  //!< in ownedMask | reqMask | cbMask
 
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;
@@ -287,15 +302,14 @@ class Router
     std::vector<Flit> flitScratch_;
     std::vector<int> creditScratch_;
 
-    void routeHeads(Cycle now);
-    void cbDivert(Cycle now);
+    void routeHeads();
+    void cbDivert();
     void cbIntake(Cycle now);
     bool cbIntakeFrom(InputPort &ip, int p, int v, Cycle now);
     void switchAllocate(Cycle now);
     bool tryGrantOutput(int port, Cycle now);
     bool tryGrantOutputVc(int port, int vc, Cycle now);
-    void sendFlit(int port, int vc, Flit flit, Cycle now,
-                  bool fromCb);
+    void sendFlit(int port, int vc, Flit flit, Cycle now);
     int resolveOutPort(int nextRouter, int vcForTieBreak) const;
     CbQueue &cbQueue(int port, int vc);
 
@@ -306,21 +320,52 @@ class Router
     void rebuildSweepState();
 
     // --- incremental mask maintenance (no-ops when masks are
-    //     disabled by a > 64-VC configuration) ---
+    //     disabled by a > 64-VC or > 64-port configuration) ---
+
+    static std::uint64_t bit(int i) { return std::uint64_t{1} << i; }
 
     void
-    markVcOccupied(InputPort &ip, int vc)
+    markVcOccupied(InputPort &ip, int port, int vc)
     {
-        if (masksEnabled_)
-            ip.occMask |= std::uint64_t{1} << vc;
+        if (!masksEnabled_)
+            return;
+        ip.occMask |= bit(vc);
+        inActive_ |= bit(port);
     }
 
     void
-    markVcDrained(InputPort &ip, int vc)
+    markVcDrained(InputPort &ip, int port, int vc)
     {
-        if (masksEnabled_ &&
-            ip.vcs[static_cast<std::size_t>(vc)].buffer.empty())
-            ip.occMask &= ~(std::uint64_t{1} << vc);
+        if (!masksEnabled_ ||
+            !ip.vcs[static_cast<std::size_t>(vc)].buffer.empty())
+            return;
+        ip.occMask &= ~bit(vc);
+        if (!ip.occMask)
+            inActive_ &= ~bit(port);
+    }
+
+    /** Set bit `vc` of one of output `port`'s sweep masks
+     *  (ownedMask, reqMask or cbMask). */
+    void
+    setOutputMask(int port, std::uint64_t OutputPort::*mask, int vc)
+    {
+        if (!masksEnabled_)
+            return;
+        outputs_[static_cast<std::size_t>(port)].*mask |= bit(vc);
+        outActive_ |= bit(port);
+    }
+
+    /** Clear bit `vc` of one of output `port`'s sweep masks; the port
+     *  leaves outActive_ when all three masks are empty. */
+    void
+    clearOutputMask(int port, std::uint64_t OutputPort::*mask, int vc)
+    {
+        if (!masksEnabled_)
+            return;
+        OutputPort &op = outputs_[static_cast<std::size_t>(port)];
+        op.*mask &= ~bit(vc);
+        if (!(op.ownedMask | op.reqMask | op.cbMask))
+            outActive_ &= ~bit(port);
     }
 
     void
@@ -332,8 +377,7 @@ class Router
                             static_cast<std::size_t>(numVcs_) +
                         static_cast<std::size_t>(vc);
         if (reqCount_[i]++ == 0)
-            outputs_[static_cast<std::size_t>(port)].reqMask |=
-                std::uint64_t{1} << vc;
+            setOutputMask(port, &OutputPort::reqMask, vc);
     }
 
     void
@@ -345,8 +389,7 @@ class Router
                             static_cast<std::size_t>(numVcs_) +
                         static_cast<std::size_t>(vc);
         if (--reqCount_[i] == 0)
-            outputs_[static_cast<std::size_t>(port)].reqMask &=
-                ~(std::uint64_t{1} << vc);
+            clearOutputMask(port, &OutputPort::reqMask, vc);
     }
 };
 

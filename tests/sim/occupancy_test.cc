@@ -1,20 +1,24 @@
 /**
  * @file
  * Incremental-bookkeeping equivalence tests for the O(1) occupancy
- * counters, the active-VC sweep bitmasks, and the flat ShortestPaths
- * table.
+ * counters, the active-VC sweep bitmasks, the router-level
+ * port-activity words, and the flat ShortestPaths table.
  *
- * The occupancy counters and sweep masks are maintained at the exact
+ * The occupancy counters and sweep state are maintained at the exact
  * points credits move and queues change; Network::auditInvariants()
- * recounts every one of them against a from-scratch scan. These
- * tests drive randomized traffic — with and without mid-run fault
- * purges — through that audit via SimInvariantChecker, and pin the
- * public-API relationships the adaptive schemes rely on
+ * recounts every one of them against a from-scratch scan: occToward,
+ * the per-input occMask, the reqCount refcounts, the per-output
+ * ownedMask / reqMask / cbMask, and the inActive / outActive port
+ * words. These tests drive randomized traffic — with and without
+ * mid-run fault purges — through that audit via SimInvariantChecker,
+ * pin the dense sweep that routers wider than 64 ports fall back to,
+ * and pin the public-API relationships the adaptive schemes rely on
  * (pathOccupancy == sum of linkOccupancy along the minimal path).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "graph/shortest_paths.hh"
@@ -75,8 +79,8 @@ soak(Network &net, std::uint64_t seed, int cycles, int checkEvery)
 TEST(OccupancyTracking, UgalTrafficMatchesRecounts)
 {
     // UGAL's 2*diameter VC count is the configuration the bitmask
-    // sweep targets; the audit recounts occToward, occMask, reqCount,
-    // and ownedMask every 50 cycles.
+    // sweep targets; the audit recounts occToward, the VC masks,
+    // reqCount and the port-activity words every 50 cycles.
     for (const char *topoId : {"sn_54", "cm4"}) {
         Network net(makeNamedTopology(topoId),
                     RouterConfig::named("EB-Var"), LinkConfig{},
@@ -137,6 +141,67 @@ TEST(OccupancyTracking, RandomFaultSoakUnderCbr)
         if (c % 25 == 24)
             checker.check("cycle " + std::to_string(c));
     }
+}
+
+/** FNV-1a over the 8 bytes of `v`. */
+void
+fnv(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+    }
+}
+
+TEST(OccupancyTracking, WideRoutersTakeTheDenseSweep)
+{
+    // clos_1296's spine routers have 162 ports, more than one mask
+    // word holds, so they run the dense sweep while the leaves run
+    // the mask sweep. The fingerprint was captured when every router
+    // took the mask path (port masks did not exist yet): equality
+    // proves the two paths arbitrate identically.
+    NocTopology topo = makeNamedTopology("clos_1296");
+    int widest = 0;
+    for (int r = 0; r < topo.numRouters(); ++r)
+        widest = std::max(
+            widest, static_cast<int>(topo.routers().neighbors(r).size()));
+    ASSERT_GT(widest, 64);
+
+    Network net(topo, RouterConfig::named("EB-Var"), LinkConfig{},
+                RoutingMode::Minimal, /*seed=*/7);
+    SimInvariantChecker checker(net);
+    std::uint64_t deliveryHash = 1469598103934665603ULL; // FNV basis
+    checker.setDeliveryCallback([&deliveryHash](const Packet &p) {
+        fnv(deliveryHash, p.id);
+        fnv(deliveryHash, static_cast<std::uint64_t>(p.srcNode));
+        fnv(deliveryHash, static_cast<std::uint64_t>(p.dstNode));
+        fnv(deliveryHash, static_cast<std::uint64_t>(p.hops));
+        fnv(deliveryHash, p.injectedAt);
+        fnv(deliveryHash, p.ejectedAt);
+    });
+    std::uint64_t s = 0xc105;
+    for (int c = 0; c < 300; ++c) {
+        offerRandom(net, s, 48);
+        net.step();
+        if (c % 50 == 49)
+            checker.check("cycle " + std::to_string(c));
+    }
+    for (int c = 0;
+         c < 30000 && net.flitsInFlight() + net.sourceQueueDepth() > 0;
+         ++c)
+        net.step();
+    checker.checkQuiescent("after drain");
+
+    const SimCounters &k = net.counters();
+    std::uint64_t counterHash = 1469598103934665603ULL;
+    for (std::uint64_t v :
+         {k.bufferWrites, k.bufferReads, k.cbWrites, k.cbReads,
+          k.crossbarTraversals, k.linkFlitHops, k.flitsInjected,
+          k.flitsDelivered, k.packetsInjected, k.packetsDelivered})
+        fnv(counterHash, v);
+    EXPECT_EQ(k.packetsDelivered, 14387u);
+    EXPECT_EQ(deliveryHash, 17698057111276848339ULL);
+    EXPECT_EQ(counterHash, 17825123032882910645ULL);
 }
 
 TEST(OccupancyTracking, PathOccupancyIsSumOfLinkOccupancies)
@@ -203,8 +268,9 @@ TEST(FlatShortestPaths, MatchesBfsAndTieBreaksLowestId)
                       d[static_cast<std::size_t>(src)] - 1);
             for (int w : g.neighbors(src))
                 if (d[static_cast<std::size_t>(w)] ==
-                    d[static_cast<std::size_t>(src)] - 1)
+                    d[static_cast<std::size_t>(src)] - 1) {
                     EXPECT_LE(nh, w);
+                }
         }
     }
 }
