@@ -14,13 +14,6 @@
  * signal exactly in the sparse regime the sweep optimizations
  * target.
  *
- * A space-sharded grid (src/sim/shard.hh) steps ONE large topology
- * (sn_subgr_1296, the biggest committed instance) with 1/2/4 worker
- * threads; those rows carry shards > 1 and speedup_vs_serial =
- * sharded / the 1-shard reference. Shard scaling is core-count-bound:
- * on a single-core host the barrier overhead makes shards > 1 a
- * slowdown, which the artifact records honestly.
- *
  * Results stream to stdout like every bench and are also written to
  * BENCH_hotpath.json (see SNOC_BENCH_OUT), giving successive commits
  * comparable perf points. SNOC_BENCH_FAST=1 shrinks the windows for
@@ -33,7 +26,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
-#include "sim/shard.hh"
 #include "sim/simulation.hh"
 #include "workload/closed_loop.hh"
 
@@ -124,65 +116,6 @@ measure(const std::string &topoId, RoutingMode mode, double load)
 }
 
 /**
- * One network stepped by `shards` worker threads through the
- * space-sharded cycle loop. Bitwise identical to measure() on the
- * same scenario (sim/shard.hh's contract), so the delta against the
- * 1-shard row is pure parallel-stepping overhead/speedup. Uses a
- * shorter window than the single-network grid: the topology is ~6x
- * larger than sn_subgr_200 and the point is scaling shape, not
- * absolute rate.
- */
-PerfPoint
-measureSharded(const std::string &topoId, RoutingMode mode,
-               double load, int shards)
-{
-    Network net(topo(topoId), RouterConfig::named("EB-Var"),
-                LinkConfig{}, mode, /*seed=*/7);
-    net.reservePackets(1u << 14);
-    ShardedNetwork sn(net, shards);
-    auto pattern = std::shared_ptr<TrafficPattern>(
-        makeTrafficPattern(PatternKind::Random, net.topology()));
-    SyntheticConfig sc;
-    sc.load = load;
-    TrafficSource src = makeSyntheticSource(pattern, sc);
-
-    PerfPoint p;
-    Cycle warmup = fastMode() ? 150 : 1000;
-    p.cycles = fastMode() ? 600 : 5000;
-
-    for (Cycle c = 0; c < warmup; ++c) {
-        src(net, net.now());
-        sn.step();
-    }
-
-    SimCounters before = net.counters();
-    std::uint64_t activeSum = 0;
-    double wall = 0.0;
-    for (Cycle c = 0; c < p.cycles; ++c) {
-        src(net, net.now());
-        auto t0 = std::chrono::steady_clock::now();
-        sn.step();
-        auto t1 = std::chrono::steady_clock::now();
-        wall += std::chrono::duration<double>(t1 - t0).count();
-        activeSum += sn.lastActiveRouters();
-    }
-    wall = wall > 0.0 ? wall : 1e-9;
-    SimCounters delta = net.counters() - before;
-
-    p.cyclesPerSec = static_cast<double>(p.cycles) / wall;
-    p.flitHopsPerSec = static_cast<double>(delta.linkFlitHops) / wall;
-    p.flitsPerSec = static_cast<double>(delta.flitsDelivered) / wall;
-    p.activeFraction =
-        static_cast<double>(activeSum) /
-        (static_cast<double>(p.cycles) *
-         static_cast<double>(net.topology().numRouters()));
-    p.nsPerCycleRouter =
-        wall * 1e9 / std::max<double>(1.0,
-                                      static_cast<double>(activeSum));
-    return p;
-}
-
-/**
  * Closed-loop hot path: the same timed step() window, but driven by
  * the request/reply workload layer (src/workload/closed_loop.hh)
  * instead of an open-loop Bernoulli source. The delivery-callback
@@ -261,64 +194,42 @@ main()
     PerfReport report("hotpath");
     report.out().beginTable(
         "hot-path cycle-loop throughput (random traffic, EB-Var)",
-        {"topology", "routing", "load", "mode", "shards", "window",
-         "cycles", "cycles_per_sec", "flit_hops_per_sec",
+        {"topology", "routing", "load", "mode", "window", "cycles",
+         "cycles_per_sec", "flit_hops_per_sec",
          "flits_delivered_per_sec", "active_router_fraction",
-         "ns_per_cycle_router", "speedup_vs_serial"});
+         "ns_per_cycle_router"});
     // `window` is "-" everywhere except the closed-loop grid, whose
     // rows are keyed by (topology, routing, window, mode) and carry
     // no load knob ("-" in the load column).
     auto addRow = [&](const char *t, RoutingMode m,
                       const std::string &load, const char *kind,
-                      int shards, const std::string &window,
-                      const PerfPoint &p, double speedup) {
+                      const std::string &window, const PerfPoint &p) {
         report.out().addRow(
-            {t, modeName(m), load, kind, std::to_string(shards), window,
+            {t, modeName(m), load, kind, window,
              std::to_string(static_cast<std::uint64_t>(p.cycles)),
              fmt(p.cyclesPerSec, "%.0f"),
              fmt(p.flitHopsPerSec, "%.0f"),
              fmt(p.flitsPerSec, "%.0f"),
              fmt(p.activeFraction, "%.3f"),
-             fmt(p.nsPerCycleRouter, "%.1f"),
-             fmt(speedup, "%.2f")});
+             fmt(p.nsPerCycleRouter, "%.1f")});
     };
     for (const char *t : topologies) {
         for (RoutingMode m : modes) {
             for (double load : loads)
-                addRow(t, m, fmt(load, "%.3g"), "serial", 1, "-",
-                       measure(t, m, load), 1.0);
-        }
-    }
-
-    // Space-sharded scaling grid: one big topology, 1/2/4 worker
-    // threads over the same cycle loop. The 1-shard row is the
-    // speedup denominator (it pays the partition/ownership plumbing
-    // but no barriers or extra threads).
-    const int shardGrid[] = {1, 2, 4};
-    for (RoutingMode m : {RoutingMode::Minimal, RoutingMode::UgalL}) {
-        double load = 0.10;
-        PerfPoint ref;
-        for (int shards : shardGrid) {
-            PerfPoint p =
-                measureSharded("sn_subgr_1296", m, load, shards);
-            if (shards == 1)
-                ref = p;
-            addRow("sn_subgr_1296", m, fmt(load, "%.3g"), "sharded",
-                   shards, "-", p, p.cyclesPerSec / ref.cyclesPerSec);
+                addRow(t, m, fmt(load, "%.3g"), "serial", "-",
+                       measure(t, m, load));
         }
     }
 
     // Closed-loop grid: reactive request/reply traffic across window
-    // depths. No speedup denominator applies (there is no matching
-    // open-loop row), so the column holds 1.0.
+    // depths.
     const int windowGrid[] = {1, 4, 16};
     for (const char *t : {"sn_subgr_200", "t2d4"}) {
         for (RoutingMode m : {RoutingMode::Minimal,
                               RoutingMode::UgalL}) {
             for (int window : windowGrid) {
-                PerfPoint p = measureClosedLoop(t, m, window);
-                addRow(t, m, "-", "closed-loop", 1,
-                       std::to_string(window), p, 1.0);
+                addRow(t, m, "-", "closed-loop", std::to_string(window),
+                       measureClosedLoop(t, m, window));
             }
         }
     }

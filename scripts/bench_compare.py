@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Compare a fresh BENCH_hotpath.json against the committed baseline.
 
-Rows are matched by (topology, routing, load, mode, shards, window);
-artifacts without a column default to load 0.1, mode "serial",
-shards 1, window "-". Closed-loop rows (mode "closed-loop") carry a
-window depth instead of a load. The guarded metric is cycles_per_sec.
+Rows are matched by (topology, routing, load, mode, window); artifacts
+without a column default to load 0.1, mode "serial", window "-".
+Closed-loop rows (mode "closed-loop") carry a window depth instead of
+a load. The guarded metric is cycles_per_sec.
 
 Only serial rows are gated: a row regresses when
 
@@ -12,11 +12,10 @@ Only serial rows are gated: a row regresses when
 
 with threshold 30% by default — wide enough that genuine optimizations
 and deoptimizations dominate run-to-run noise on a quiet machine.
-Sharded and closed-loop rows are reported (and their deltas printed)
-but never fail the gate: shard-count scaling is machine-shape-dependent
-in a way the single-network serial rows are not. Shared CI runners sit inside a jitter band wider than the gate,
-so CI invokes this with --warn-only: the delta table is still printed
-and uploaded as an artifact, but regressions exit 0.
+Closed-loop rows are reported (and their deltas printed) but never
+fail the gate. Shared CI runners sit inside a jitter band wider than
+the gate, so CI invokes this with --warn-only: the delta table is
+still printed and uploaded as an artifact, but regressions exit 0.
 
 Usage:
     scripts/bench_compare.py BASELINE FRESH [--threshold 0.30]
@@ -33,11 +32,10 @@ import sys
 
 def row_key(row):
     """Identity of a bench row; defaults cover artifacts without the
-    mode, shards or window columns."""
+    mode or window columns."""
     return (str(row.get("topology")), str(row.get("routing")),
             str(row.get("load", "0.1")),
             str(row.get("mode", "serial")),
-            str(row.get("shards", "1")),
             str(row.get("window", "-")))
 
 
@@ -83,14 +81,14 @@ def main():
 
     lines = []
     header = (f"{'topology':<14} {'routing':<10} {'load':<6} "
-              f"{'mode':<11} {'shards':<6} {'window':<6} "
+              f"{'mode':<11} {'window':<6} "
               f"{'baseline':>10} {'fresh':>10} {'delta':>8}  verdict")
     lines.append(header)
     lines.append("-" * len(header))
 
     regressions = []
     for key in sorted(base):
-        topo, routing, load, mode, shards, window = key
+        topo, routing, load, mode, window = key
         gated = mode == "serial"
         b = float(base[key].get(args.metric, 0.0))
         row = fresh.get(key)
@@ -98,7 +96,7 @@ def main():
             verdict = ("REGRESSED (row gone)" if gated
                        else f"{mode} row gone (not gated)")
             lines.append(f"{topo:<14} {routing:<10} {load:<6} "
-                         f"{mode:<11} {shards:<6} {window:<6} "
+                         f"{mode:<11} {window:<6} "
                          f"{b:>10.0f} {'missing':>10} {'':>8}  "
                          f"{verdict}")
             if gated:
@@ -116,13 +114,13 @@ def main():
         else:
             verdict = "ok (within band)"
         lines.append(f"{topo:<14} {routing:<10} {load:<6} {mode:<11} "
-                     f"{shards:<6} {window:<6} "
+                     f"{window:<6} "
                      f"{b:>10.0f} {f:>10.0f} {delta:>+7.1%}  {verdict}")
 
     for key in sorted(set(fresh) - set(base)):
-        topo, routing, load, mode, shards, window = key
+        topo, routing, load, mode, window = key
         lines.append(f"{topo:<14} {routing:<10} {load:<6} {mode:<11} "
-                     f"{shards:<6} {window:<6} {'new':>10} "
+                     f"{window:<6} {'new':>10} "
                      f"{float(fresh[key].get(args.metric, 0.0)):>10.0f} "
                      f"{'':>8}  new row")
 

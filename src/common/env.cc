@@ -64,11 +64,6 @@ envKnobs()
          "stamp) and reused on later runs (a cache hit is bitwise "
          "identical to a fresh simulation); manage with `snoc cache "
          "stats|clear|prune` (`snoc run --store` overrides)"},
-        {kEnvSimShards, "1", "off, 0, 1, or shard count 2-64",
-         "space-sharded cycle loop: step each big-topology synthetic "
-         "simulation with N threads (bitwise identical to serial; "
-         "see sim/shard.hh); off/0/1 keeps the serial loop, 2-64 "
-         "sets the shard count (RunnerOptions::simShards overrides)"},
     };
     return kKnobs;
 }

@@ -68,7 +68,6 @@ inline constexpr const char *kEnvFuzzIters = "SNOC_FUZZ_ITERS";
 inline constexpr const char *kEnvFuzzSeed = "SNOC_FUZZ_SEED";
 inline constexpr const char *kEnvPlanDir = "SNOC_PLAN_DIR";
 inline constexpr const char *kEnvResultStore = "SNOC_RESULT_STORE";
-inline constexpr const char *kEnvSimShards = "SNOC_SIM_SHARDS";
 
 } // namespace snoc
 

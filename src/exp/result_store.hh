@@ -17,10 +17,10 @@
  * recompiles of the same commit but never serves rows across code
  * changes; `snoc cache prune` evicts rows whose stamp went stale.
  *
- * Execution knobs (threads, shards) are deliberately
- * NOT part of the key: the engine's determinism contract makes
- * results bitwise identical across execution modes, so a row cached
- * by a sharded run is exactly the row a serial run would produce —
+ * Execution knobs (threads) are deliberately NOT part of the key:
+ * the engine's determinism contract makes results bitwise identical
+ * across thread counts, so a row cached by a parallel run is exactly
+ * the row a one-thread run would produce —
  * and the store's own contract (enforced by test) is that a cache
  * hit is bitwise identical to a fresh simulation.
  *

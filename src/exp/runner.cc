@@ -22,7 +22,6 @@
 #include "exp/result_store.hh"
 #include "exp/serialize.hh"
 #include "power/power_model.hh"
-#include "sim/shard.hh"
 #include "topo/topology_cache.hh"
 #include "trace/trace.hh"
 #include "traffic/synthetic.hh"
@@ -42,26 +41,6 @@ resolveThreads(int requested)
         return n;
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-constexpr int kMaxShards = 64;
-
-int
-resolveSimShards(int requested)
-{
-    int shards = requested;
-    if (shards < 0) {
-        std::string raw = envRaw(kEnvSimShards);
-        if (raw.empty() || raw == "off" || raw == "0" || raw == "1")
-            shards = 1; // serial loop by default
-        else {
-            int n = std::atoi(raw.c_str());
-            shards = n >= 2 ? n : 1;
-        }
-    }
-    if (shards <= 1)
-        return 1;
-    return std::min(shards, kMaxShards);
 }
 
 bool
@@ -263,8 +242,6 @@ runScenarioIsolated(const Scenario &s, long timeoutMs)
 /**
  * Build the traffic source a scenario asks for (synthetic,
  * closed-loop, or collective; trace workloads never reach here).
- * Shared by the serial and sharded execution paths so the same
- * Scenario always drives the same source in every mode.
  */
 TrafficSource
 makeScenarioSource(const Scenario &s, const NocTopology &topo)
@@ -336,12 +313,15 @@ evaluateEnergy(const Scenario &s, const SimResult &r)
 
 ExperimentRunner::ExperimentRunner(RunnerOptions opts)
     : threads_(resolveThreads(opts.threads)),
-      simShards_(resolveSimShards(opts.simShards)),
       isolate_(resolveIsolate(opts.isolate)),
       timeoutMs_(resolveTimeoutMs(opts.jobTimeoutMs)),
       retries_(resolveRetries(opts.retries)),
       opts_(std::move(opts))
 {
+    if (opts_.simShards > 1)
+        fatal("RunnerOptions::simShards = ", opts_.simShards,
+              ": every network is stepped by one thread; only 1 "
+              "(or unset) is accepted");
     // A watchdog can only ever kill a process, not a thread.
     if (timeoutMs_ > 0)
         isolate_ = true;
@@ -350,12 +330,6 @@ ExperimentRunner::ExperimentRunner(RunnerOptions opts)
 SimResult
 ExperimentRunner::runScenario(const Scenario &s)
 {
-    return runScenario(s, 1);
-}
-
-SimResult
-ExperimentRunner::runScenario(const Scenario &s, int simShards)
-{
     maybeTestHook(s);
     const NocTopology &topo = TopologyCache::instance().get(s.topology);
     RouterConfig rc = RouterConfig::named(s.routerConfig);
@@ -363,17 +337,12 @@ ExperimentRunner::runScenario(const Scenario &s, int simShards)
 
     if (s.traffic.kind == TrafficSpec::Kind::Workload) {
         // Workload runs step the network inside runWorkload's
-        // reply-dependent loop; they always take the serial path.
+        // reply-dependent loop.
         const WorkloadProfile &w = workloadByName(s.traffic.workload);
         return runWorkload(net, w, s.traffic.workloadCycles, s.seed);
     }
 
-    TrafficSource source = makeScenarioSource(s, topo);
-    if (simShards >= 2 && topo.numRouters() >= 2) {
-        ShardedNetwork sn(net, simShards);
-        return runShardedSimulation(sn, std::move(source), s.sim);
-    }
-    return runSimulation(net, std::move(source), s.sim);
+    return runSimulation(net, makeScenarioSource(s, topo), s.sim);
 }
 
 /**
@@ -413,7 +382,7 @@ ExperimentRunner::evalScenario(const Scenario &s,
         }
         try {
             out.sim = isolate_ ? runScenarioIsolated(s, timeoutMs_)
-                               : runScenario(s, simShards_);
+                               : runScenario(s);
             if (opts_.store)
                 opts_.store->put(key, s, out.sim);
             return out;
@@ -553,12 +522,8 @@ ExperimentRunner::run(const ExperimentPlan &plan) const
             opts_.progress(++jobsDone, total);
     };
 
-    // Shard-aware planning: each sharded job claims simShards_
-    // threads of its own, so the job-level pool shrinks to keep the
-    // total at ~threads_.
     int workers =
-        std::min<int>(std::max(1, threads_ / simShards_),
-                      static_cast<int>(pending.size()));
+        std::min<int>(threads_, static_cast<int>(pending.size()));
 
     if (workers <= 1) {
         for (std::size_t idx : pending) {

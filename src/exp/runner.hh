@@ -70,20 +70,7 @@ struct RunnerOptions
     /** Ignored; only the campaign benchmark (perfbench/) still sets it. */
     int batchLanes = -1;
 
-    /**
-     * Space-sharded cycle loop (src/sim/shard.hh): step each
-     * synthetic-traffic simulation with N threads over a partition
-     * of its router graph. Results are bitwise identical to serial;
-     * like `threads` this is purely an execution knob. The worker
-     * pool is divided by the shard count so a plan claims
-     * ~`threads` cores in total. Workload traffic (internally
-     * stepped reply loops) always runs serial.
-     *
-     * -1 resolves SNOC_SIM_SHARDS (unset/"off"/"0"/"1" = serial;
-     * 2-64 sets the shard count). 0 or 1 keeps the serial loop;
-     * >= 2 sets the shard count directly (clamped to 64, and to the
-     * topology's router count at attach time).
-     */
+    /** Only the campaign benchmark sets it; above 1 throws FatalError. */
     int simShards = -1;
 
     /** Failure handling after retries are exhausted (see enum). */
@@ -143,7 +130,7 @@ struct RunnerOptions
  * counters (zeroed/invalid when the scenario's energy spec is
  * disabled). Pure function of its arguments — the runner applies it
  * to every result after execution, so energy values cannot depend on
- * the execution mode (serial / sharded).
+ * how the points were executed.
  */
 EnergyMetrics evaluateEnergy(const Scenario &s, const SimResult &r);
 
@@ -163,21 +150,11 @@ class ExperimentRunner
     /** Execute one scenario on the calling thread. */
     static SimResult runScenario(const Scenario &s);
 
-    /**
-     * Execute one scenario, stepping it with `simShards` threads
-     * when it is synthetic-traffic (workloads run serial). Bitwise
-     * identical to runScenario(s) for any shard count.
-     */
-    static SimResult runScenario(const Scenario &s, int simShards);
-
     /** The resolved worker count run() will use. */
     int threadCount() const { return threads_; }
 
     /** Always 0; only the campaign benchmark (perfbench/) reads it. */
     int batchLaneCount() const { return 0; }
-
-    /** The resolved per-simulation shard count (1 = serial loop). */
-    int simShardCount() const { return simShards_; }
 
     /** True when evaluations run in forked children. */
     bool isolated() const { return isolate_; }
@@ -190,7 +167,6 @@ class ExperimentRunner
 
   private:
     int threads_;
-    int simShards_;
     bool isolate_;
     long timeoutMs_;
     int retries_;

@@ -1,12 +1,11 @@
 /**
  * @file
- * Load-sweep and saturation-search strategies, factored out of the
- * simulation driver so every layer (sim helpers, experiment engine,
- * benches) shares one implementation. The strategies are expressed
- * against a PointEvaluator — "give me the SimResult at this load" —
- * so they are agnostic to how the network is built (fresh factories
- * in the legacy sim API, TopologyCache-backed Scenarios in the
- * engine).
+ * Load-sweep and saturation-search strategies, shared by the
+ * experiment engine, the benches and the tests. The strategies are
+ * expressed against a PointEvaluator — "give me the SimResult at
+ * this load" — so they are agnostic to how the network is built
+ * (TopologyCache-backed Scenarios in the engine, plain factories in
+ * tests).
  */
 
 #ifndef SNOC_EXP_STRATEGIES_HH
@@ -31,6 +30,13 @@ namespace snoc {
  * *less*, which would invert the bisection bracket.
  */
 using PointEvaluator = std::function<SimResult(double load)>;
+
+/** One point of a load sweep. */
+struct LoadPoint
+{
+    double load = 0.0;  //!< offered flits/node/cycle
+    SimResult result;
+};
 
 /**
  * Run `loads` in order through `eval`.

@@ -71,37 +71,6 @@ struct SimCounters
         *this = SimCounters();
     }
 
-    /** Fold another window in (the sharded loop merges per-shard
-     *  counters every cycle; every field is a commutative sum). */
-    SimCounters &
-    operator+=(const SimCounters &o)
-    {
-        bufferWrites += o.bufferWrites;
-        bufferReads += o.bufferReads;
-        cbWrites += o.cbWrites;
-        cbReads += o.cbReads;
-        crossbarTraversals += o.crossbarTraversals;
-        linkFlitHops += o.linkFlitHops;
-        flitsInjected += o.flitsInjected;
-        flitsDelivered += o.flitsDelivered;
-        packetsInjected += o.packetsInjected;
-        packetsDelivered += o.packetsDelivered;
-        faultEvents += o.faultEvents;
-        flitsDropped += o.flitsDropped;
-        packetsDropped += o.packetsDropped;
-        packetsUnroutable += o.packetsUnroutable;
-        packetsRefused += o.packetsRefused;
-        packetsRerouted += o.packetsRerouted;
-        clRequestsIssued += o.clRequestsIssued;
-        clRepliesMatched += o.clRepliesMatched;
-        clReqLatencySum += o.clReqLatencySum;
-        clWindowOccupancy += o.clWindowOccupancy;
-        clStallNodeCycles += o.clStallNodeCycles;
-        clSlotsPurged += o.clSlotsPurged;
-        clPhasesCompleted += o.clPhasesCompleted;
-        return *this;
-    }
-
     bool operator==(const SimCounters &) const = default;
 
     /** Window counters: activity since an earlier snapshot. */

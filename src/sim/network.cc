@@ -173,16 +173,15 @@ Network::offerPacket(int srcNode, int dstNode, int sizeFlits,
     sourceQueues_[static_cast<std::size_t>(srcNode)].push_back(h);
 }
 
-int
-Network::pumpNode(int node, SimCounters &counters)
+void
+Network::pumpNode(int node)
 {
     auto &q = sourceQueues_[static_cast<std::size_t>(node)];
     if (q.empty())
-        return 0;
+        return;
     Router &r = *routers_[static_cast<std::size_t>(
         topo_->routerOfNode(node))];
     int slot = localSlot_[static_cast<std::size_t>(node)];
-    int injected = 0;
     // Move whole packets only, keeping flits contiguous.
     while (!q.empty()) {
         Packet &pkt = pool_->get(q.front());
@@ -199,19 +198,17 @@ Network::pumpNode(int node, SimCounters &counters)
             flit.vc = 0;
             r.injectFlit(slot, flit);
         }
-        counters.flitsInjected +=
+        counters_->flitsInjected +=
             static_cast<std::uint64_t>(pkt.sizeFlits);
-        ++counters.packetsInjected;
-        injected += pkt.sizeFlits;
+        ++counters_->packetsInjected;
     }
-    return injected;
 }
 
 void
 Network::pumpInjection()
 {
     for (int node = 0; node < topo_->numNodes(); ++node)
-        pumpNode(node, *counters_);
+        pumpNode(node);
 }
 
 void

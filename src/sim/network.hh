@@ -36,8 +36,6 @@
 
 namespace snoc {
 
-class ShardedNetwork;
-
 /** Wire / SMART configuration. */
 struct LinkConfig
 {
@@ -122,9 +120,8 @@ class Network : public NetworkState
      * Mutable counter access for the workload layer (src/workload/):
      * closed-loop sources account their window occupancy, stall
      * cycles and request latencies here so the counters ride the
-     * existing measurement-window snapshot/merge machinery in every
-     * execution mode. Only touched from the serial phases (source
-     * calls and delivery/drop callbacks), never from shard workers.
+     * existing measurement-window snapshot machinery. Touched only
+     * from source calls and delivery/drop callbacks.
      */
     SimCounters &workloadCounters() { return *counters_; }
 
@@ -221,12 +218,6 @@ class Network : public NetworkState
     int pathOccupancy(int srcRouter, int dstRouter) const override;
 
   private:
-    // ShardedNetwork (src/sim/shard.hh) runs the same phases on
-    // partition-owned router subsets across threads, with barriers
-    // between phases; it drives pumpNode/collectArrivals/step/drain
-    // and the delivery merge directly over these internals.
-    friend class ShardedNetwork;
-
     std::unique_ptr<const NocTopology> topo_;
     RouterConfig routerCfg_;
     LinkConfig linkCfg_;
@@ -276,10 +267,7 @@ class Network : public NetworkState
     void build(std::uint64_t seed, RoutingMode mode,
                const FaultPlan &faults);
     void pumpInjection();
-    // Injection counters go through the parameter so sharded callers
-    // can direct them into per-shard counters (serial callers pass
-    // *counters_).
-    int pumpNode(int node, SimCounters &counters);
+    void pumpNode(int node);
     void processDelivered();
     void buildWorklist();
     int linkLatencyFor(int distance) const;

@@ -157,10 +157,6 @@ class Router
     // src/sim/fault_injection.cc); the two are coupled by
     // construction anyway (the Network wires every port).
     friend class Network;
-    // The sharded loop (src/sim/shard.cc) repoints counters_ at
-    // per-shard counters so worker threads never share a counter
-    // cache line; everything else it drives is public phase API.
-    friend class ShardedNetwork;
 
     /** Per-input-VC state. */
     struct InputVc

@@ -308,22 +308,16 @@ class MinAdaptiveRouting : public RoutingAlgorithm
     {
         if (router == packet.dstRouter)
             return {-1, 0};
-        // Reused scratch: route() runs once per head flit per hop,
-        // so a fresh vector here would be a per-cycle allocation.
-        // thread_local (not a member) because one routing instance is
-        // shared by every router, and the sharded loop calls route()
-        // from several shard threads at once.
-        static thread_local std::vector<int> candidates;
-        paths_->minimalNextHops(router, packet.dstRouter, candidates);
-        SNOC_ASSERT(!candidates.empty(), "no minimal next hop");
-        int best = candidates.front();
+        paths_->minimalNextHops(router, packet.dstRouter, candidates_);
+        SNOC_ASSERT(!candidates_.empty(), "no minimal next hop");
+        int best = candidates_.front();
         if (state_) {
             int bestOcc = state_->linkOccupancy(router, best);
-            for (std::size_t i = 1; i < candidates.size(); ++i) {
+            for (std::size_t i = 1; i < candidates_.size(); ++i) {
                 int occ = state_->linkOccupancy(router,
-                                                candidates[i]);
+                                                candidates_[i]);
                 if (occ < bestOcc) {
-                    best = candidates[i];
+                    best = candidates_[i];
                     bestOcc = occ;
                 }
             }
@@ -350,6 +344,9 @@ class MinAdaptiveRouting : public RoutingAlgorithm
     const NetworkState *state_ = nullptr;
     int numVcs_;
     int maxHops_;
+    // Reused scratch: route() runs once per head flit per hop, so a
+    // fresh vector there would be a per-cycle allocation.
+    std::vector<int> candidates_;
 };
 
 /**

@@ -4,9 +4,31 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "exp/strategies.hh"
 
 namespace snoc {
+
+namespace {
+
+/**
+ * Closed-loop stability override. Open-loop instability shows up as
+ * source backlog; a closed-loop source never grows backlog — it
+ * stalls instead. When the measurement window recorded closed-loop
+ * activity, redefine stability as "less than half of all node-cycles
+ * were spent with a full window". No-op (and bit-identical behavior)
+ * when the window counters show no closed-loop activity.
+ */
+void
+applyClosedLoopStability(SimResult &r, double nodes, double cycles)
+{
+    const SimCounters &w = r.counters;
+    if (w.clRequestsIssued == 0 && w.clStallNodeCycles == 0 &&
+        w.clWindowOccupancy == 0)
+        return;
+    r.stable = static_cast<double>(w.clStallNodeCycles) * 2.0 <
+               nodes * cycles;
+}
+
+} // namespace
 
 SimResult
 runSimulation(Network &net, const TrafficSource &source,
@@ -28,8 +50,9 @@ runSimulation(Network &net, const TrafficSource &source,
         ++measured;
     }
 
-    // Offered load measured at the injection boundary plus what is
-    // still waiting in source queues (overload shows up here).
+    // Packets still waiting in source queues: they feed the
+    // stability test below, not the offered load, which counts only
+    // flits that were injected during the window.
     std::uint64_t sourceBacklog = net.sourceQueueDepth();
     // Snapshot window activity here, before the drain loop: drain
     // cycles keep writing buffers, traversing crossbars and hopping
@@ -74,54 +97,6 @@ runSimulation(Network &net, const TrafficSource &source,
     r.counters = windowEnd - before;
     applyClosedLoopStability(r, nodes, cycles);
     return r;
-}
-
-void
-applyClosedLoopStability(SimResult &r, double nodes, double cycles)
-{
-    const SimCounters &w = r.counters;
-    if (w.clRequestsIssued == 0 && w.clStallNodeCycles == 0 &&
-        w.clWindowOccupancy == 0)
-        return;
-    r.stable = static_cast<double>(w.clStallNodeCycles) * 2.0 <
-               nodes * cycles;
-}
-
-namespace {
-
-/** Fresh network + source per load point, as the legacy API promises. */
-PointEvaluator
-factoryEvaluator(const std::function<Network()> &makeNet,
-                 const std::function<TrafficSource(double)> &makeSource,
-                 const SimConfig &cfg)
-{
-    return [&makeNet, &makeSource, &cfg](double load) {
-        Network net = makeNet();
-        TrafficSource src = makeSource(load);
-        return runSimulation(net, src, cfg);
-    };
-}
-
-} // namespace
-
-std::vector<LoadPoint>
-sweepLoads(const std::function<Network()> &makeNet,
-           const std::function<TrafficSource(double)> &makeSource,
-           const std::vector<double> &loads, const SimConfig &cfg,
-           bool stopAtSaturation, double saturationFactor)
-{
-    return runLoadSweep(factoryEvaluator(makeNet, makeSource, cfg),
-                        loads, stopAtSaturation, saturationFactor);
-}
-
-double
-saturationThroughput(
-    const std::function<Network()> &makeNet,
-    const std::function<TrafficSource(double)> &makeSource,
-    const SimConfig &cfg)
-{
-    return findSaturation(factoryEvaluator(makeNet, makeSource, cfg))
-        .bestThroughput;
 }
 
 } // namespace snoc

@@ -11,16 +11,14 @@
  * traffic, which is exactly what open-loop Bernoulli sources cannot
  * model.
  *
- * Determinism contract (the layer must be bitwise identical under
- * the serial and space-sharded drivers):
- *  - all offers happen inside the TrafficSource call, which every
- *    driver runs serially once per cycle — chain continuations
- *    created by delivery callbacks are parked in a cycle-ordered
- *    pending queue and offered on the next source call;
- *  - delivery/drop callbacks fire in the same order in every mode
- *    (the sharded driver merges deliveries back to ascending router
- *    order before the serial delivery phase), so the chain RNG and
- *    slot state evolve identically;
+ * Determinism contract (the layer must be bitwise identical across
+ * worker-thread counts):
+ *  - all offers happen inside the TrafficSource call, which the
+ *    driver runs once per cycle — chain continuations created by
+ *    delivery callbacks are parked in a cycle-ordered pending queue
+ *    and offered on the next source call;
+ *  - delivery/drop callbacks fire in ascending router order every
+ *    cycle, so the chain RNG and slot state evolve identically;
  *  - per-node issue RNG streams are seeded from (seed, node) only,
  *    never from network state.
  *

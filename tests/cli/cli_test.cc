@@ -135,6 +135,28 @@ TEST(Cli, UndeclaredKnobsAreReportedOnStderrOnly)
               static_cast<std::ptrdiff_t>(warnings.size()));
 }
 
+TEST(Cli, RetiredShardKnobWarnsAndChangesNoOutputByte)
+{
+    // A retired knob left set in the environment is undeclared: it
+    // earns a stderr warning and must not change an output byte.
+    const std::vector<std::string> args = {
+        "run", "plans/ci_smoke.json", "--format", "json",
+        "--no-manifest", "--no-journal", "--threads", "2"};
+    std::string cleanOut, cleanErr;
+    ASSERT_EQ(cli(args, &cleanOut, &cleanErr), 0) << cleanErr;
+    EXPECT_EQ(cleanErr.find("SNOC_SIM_SHARDS"), std::string::npos);
+
+    ::setenv("SNOC_SIM_SHARDS", "2", 1);
+    std::string out, err;
+    int rc = cli(args, &out, &err);
+    ::unsetenv("SNOC_SIM_SHARDS");
+    EXPECT_EQ(rc, 0) << err;
+    EXPECT_EQ(out, cleanOut);
+    EXPECT_NE(err.find("warning: SNOC_SIM_SHARDS is set"),
+              std::string::npos)
+        << err;
+}
+
 TEST(Cli, UsageAndErrors)
 {
     std::string out, err;

@@ -38,7 +38,7 @@ TEST(Env, RegistryDeclaresEveryKnob)
                   "SNOC_EXP_RETRIES", "SNOC_EXP_TEST_HOOK",
                   "SNOC_EXP_THREADS", "SNOC_FUZZ_ITERS",
                   "SNOC_FUZZ_SEED", "SNOC_PLAN_DIR",
-                  "SNOC_RESULT_STORE", "SNOC_SIM_SHARDS"}));
+                  "SNOC_RESULT_STORE"}));
     for (const EnvKnob &k : envKnobs()) {
         EXPECT_STRNE(k.fallback, "");
         EXPECT_STRNE(k.values, "");

@@ -5,8 +5,7 @@
  *
  *  1. serial-vs-parallel ExperimentRunner execution must be bitwise
  *     identical (the engine's core determinism guarantee, now under
- *     mid-run fault injection too), and so must the space-sharded
- *     (simShards 2/4) execution mode;
+ *     mid-run fault injection too);
  *  2. a direct run of every sampled scenario must satisfy the full
  *     invariant layer (flit/packet conservation, credit accounting,
  *     exactly-once delivery) at mid-run checkpoints and after drain.
@@ -218,29 +217,12 @@ TEST(ScenarioFuzz, SerialParallelEquivalenceAndInvariants)
     serialOpts.threads = 1;
     RunnerOptions parallelOpts;
     parallelOpts.threads = 4;
-    // Shard-count axis: the same plan stepped by the space-sharded
-    // cycle loop (sim/shard.hh) at 2 and 4 shards — every fuzzed
-    // topology x routing x fault plan must be bitwise identical to
-    // the serial loop (workload scenarios fall back to serial inside
-    // the runner, so they cross-check trivially).
-    RunnerOptions sharded2Opts;
-    sharded2Opts.threads = 1;
-    sharded2Opts.simShards = 2;
-    RunnerOptions sharded4Opts;
-    sharded4Opts.threads = 2;
-    sharded4Opts.simShards = 4;
     std::vector<JobResult> serial =
         ExperimentRunner(serialOpts).run(plan);
     std::vector<JobResult> parallel =
         ExperimentRunner(parallelOpts).run(plan);
-    std::vector<JobResult> sharded2 =
-        ExperimentRunner(sharded2Opts).run(plan);
-    std::vector<JobResult> sharded4 =
-        ExperimentRunner(sharded4Opts).run(plan);
     ASSERT_EQ(serial.size(), scenarios.size());
     ASSERT_EQ(parallel.size(), scenarios.size());
-    ASSERT_EQ(sharded2.size(), scenarios.size());
-    ASSERT_EQ(sharded4.size(), scenarios.size());
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
         SCOPED_TRACE("replay with SNOC_FUZZ_SEED=" +
                      std::to_string(seeds[i]) +
@@ -248,10 +230,6 @@ TEST(ScenarioFuzz, SerialParallelEquivalenceAndInvariants)
                      describeFully(scenarios[i]));
         expectBitwiseEqual(serial[i].points[0].sim,
                            parallel[i].points[0].sim);
-        expectBitwiseEqual(serial[i].points[0].sim,
-                           sharded2[i].points[0].sim);
-        expectBitwiseEqual(serial[i].points[0].sim,
-                           sharded4[i].points[0].sim);
     }
 
     // 2. Invariant cleanliness of every sampled scenario.

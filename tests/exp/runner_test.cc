@@ -188,41 +188,17 @@ TEST(ExperimentRunner, JobErrorsPropagateFromWorkers)
     EXPECT_THROW(ExperimentRunner(opts).run(plan), FatalError);
 }
 
-TEST(ExperimentRunner, SimShardResolutionAndEquivalence)
+TEST(ExperimentRunner, SimShardsAboveOneAreRejected)
 {
-    // Explicit option values win: off/1 keep the serial loop, >=2
-    // selects space-sharded stepping.
-    RunnerOptions off;
-    off.simShards = 0;
-    EXPECT_EQ(ExperimentRunner(off).simShardCount(), 1);
-    RunnerOptions one;
-    one.simShards = 1;
-    EXPECT_EQ(ExperimentRunner(one).simShardCount(), 1);
-    RunnerOptions four;
-    four.simShards = 4;
-    EXPECT_EQ(ExperimentRunner(four).simShardCount(), 4);
-
-    // A full mixed plan through the sharded runner must be bitwise
-    // identical to the serial reference (workload and saturation jobs
-    // fall back to the serial loop internally).
-    ExperimentPlan plan = mixedSyntheticPlan();
-    RunnerOptions serialOpts;
-    serialOpts.threads = 1;
-    RunnerOptions shardedOpts;
-    shardedOpts.threads = 2;
-    shardedOpts.simShards = 3;
-    std::vector<JobResult> plain =
-        ExperimentRunner(serialOpts).run(plan);
-    std::vector<JobResult> shardedRes =
-        ExperimentRunner(shardedOpts).run(plan);
-    ASSERT_EQ(plain.size(), shardedRes.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-        ASSERT_EQ(plain[i].points.size(),
-                  shardedRes[i].points.size())
-            << "job " << i;
-        for (std::size_t p = 0; p < plain[i].points.size(); ++p)
-            expectIdentical(plain[i].points[p].sim,
-                            shardedRes[i].points[p].sim);
+    // Every network is stepped by one thread. A caller that asks for
+    // sharded stepping must get an error, not a silent serial run.
+    for (int shards : {-1, 0, 1, 2, 64}) {
+        RunnerOptions opts;
+        opts.simShards = shards;
+        if (shards > 1)
+            EXPECT_THROW(ExperimentRunner{opts}, FatalError) << shards;
+        else
+            EXPECT_NO_THROW(ExperimentRunner{opts}) << shards;
     }
 }
 
@@ -230,8 +206,8 @@ TEST(ExperimentRunner, EnergyMetricsAreModeInvariant)
 {
     // Energy is evaluated as a pure function of (scenario, result)
     // after execution, so the attached metrics must be exactly equal
-    // across thread counts and the serial and space-sharded engines —
-    // the same guarantee the SimResults themselves carry. Scenarios
+    // across thread counts — the same guarantee the SimResults
+    // themselves carry. Scenarios
     // without an energy spec stay invalid/zero.
     ExperimentPlan plan;
     int i = 0;
@@ -249,27 +225,18 @@ TEST(ExperimentRunner, EnergyMetricsAreModeInvariant)
 
     RunnerOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.simShards = 1;
     RunnerOptions parallelOpts;
     parallelOpts.threads = 4;
-    parallelOpts.simShards = 1;
-    RunnerOptions shardedOpts;
-    shardedOpts.threads = 2;
-    shardedOpts.simShards = 3;
 
     std::vector<JobResult> serial =
         ExperimentRunner(serialOpts).run(plan);
     std::vector<JobResult> parallel =
         ExperimentRunner(parallelOpts).run(plan);
-    std::vector<JobResult> sharded =
-        ExperimentRunner(shardedOpts).run(plan);
     ASSERT_EQ(serial.size(), plan.size());
     for (std::size_t j = 0; j < serial.size(); ++j) {
         ASSERT_EQ(serial[j].points.size(), 1u);
         const ScenarioResult &p = serial[j].points[0];
         EXPECT_TRUE(p.energy == parallel[j].points[0].energy)
-            << "job " << j;
-        EXPECT_TRUE(p.energy == sharded[j].points[0].energy)
             << "job " << j;
         EXPECT_EQ(p.energy.valid, p.scenario.energy.enabled);
         // The runner's attachment must be exactly the free function

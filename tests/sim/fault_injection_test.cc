@@ -2,8 +2,10 @@
  * @file
  * Fault-injection tests: dynamic link/router failures applied
  * mid-run, degraded-operation semantics (drops, refusals, reroutes,
- * repairs), zero-fault equivalence of armed-but-empty plans, and the
- * invariant layer holding through every perturbation.
+ * repairs), zero-fault equivalence of armed-but-empty plans, the
+ * invariant layer holding through every perturbation, and faulted
+ * runs pinned to delivery-stream fingerprints with
+ * Network::auditInvariants checked mid-run.
  */
 
 #include <gtest/gtest.h>
@@ -361,6 +363,126 @@ TEST(FaultInjection, PlanResolutionIsDeterministic)
         EXPECT_EQ(a[i].b, b[i].b);
         EXPECT_EQ(a[i].at, 100u);
         EXPECT_TRUE(topo.routers().hasEdge(a[i].a, a[i].b));
+    }
+}
+
+// --- faulted runs vs pinned fingerprints ------------------------------------
+
+void
+fnv(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+    }
+}
+
+struct Fingerprint
+{
+    std::uint64_t deliveryHash = 1469598103934665603ULL; // FNV basis
+    std::uint64_t packets = 0;
+    SimCounters counters;
+    bool drained = false;
+};
+
+/** The hotpath goldens' schedule seed; variant > 0 perturbs it so
+ *  several runs on one topology carry distinct traffic. */
+std::uint64_t
+scheduleSeed(const std::string &topoId, RoutingMode mode, int variant)
+{
+    std::uint64_t s =
+        0xabcdef12 ^ (mode == RoutingMode::UgalL ? 77 : 0);
+    for (const char ch : topoId)
+        s = s * 131 + static_cast<std::uint64_t>(ch);
+    return s + static_cast<std::uint64_t>(variant) * 0x9e3779b9ULL;
+}
+
+/** The hotpath test's loop (2 offers a cycle for 1200 cycles, then
+ *  drain), auditing the network every `auditEvery` cycles. */
+Fingerprint
+runSerial(const std::string &topoId, RoutingMode mode,
+          std::uint64_t seed, const FaultPlan &faults, int auditEvery)
+{
+    Network net(makeNamedTopology(topoId), RouterConfig::named("EB-Var"),
+                LinkConfig{}, mode, 7, faults);
+    Fingerprint fp;
+    net.setDeliveryCallback([&fp](const Packet &p) {
+        fnv(fp.deliveryHash, p.id);
+        fnv(fp.deliveryHash, static_cast<std::uint64_t>(p.srcNode));
+        fnv(fp.deliveryHash, static_cast<std::uint64_t>(p.dstNode));
+        fnv(fp.deliveryHash, static_cast<std::uint64_t>(p.sizeFlits));
+        fnv(fp.deliveryHash, static_cast<std::uint64_t>(p.hops));
+        fnv(fp.deliveryHash, p.createdAt);
+        fnv(fp.deliveryHash, p.injectedAt);
+        fnv(fp.deliveryHash, p.ejectedAt);
+        ++fp.packets;
+    });
+    auto audit = [&](int cycle) {
+        if (cycle % auditEvery != 0)
+            return;
+        std::string err;
+        ASSERT_TRUE(net.auditInvariants(err))
+            << "cycle " << cycle << ": " << err;
+    };
+    std::uint64_t s = seed;
+    int cycle = 0;
+    for (; cycle < 1200; ++cycle) {
+        offerTraffic(net, s, 2);
+        net.step();
+        audit(cycle);
+    }
+    for (int c = 0;
+         c < 30000 && net.flitsInFlight() + net.sourceQueueDepth() > 0;
+         ++c, ++cycle) {
+        net.step();
+        audit(cycle);
+    }
+    std::string err;
+    EXPECT_TRUE(net.auditInvariants(err)) << err;
+    fp.drained =
+        net.flitsInFlight() == 0 && net.sourceQueueDepth() == 0;
+    fp.counters = net.counters();
+    return fp;
+}
+
+TEST(SerialFaults, FaultPlansMatchPinnedFingerprints)
+{
+    // Each plan runs on its own perturbed schedule: a link kill, 5%
+    // random link failures, and a router kill with a later repair.
+    // The fingerprints were captured when these runs were also
+    // checked bitwise against an independent co-simulation engine.
+    struct Pinned
+    {
+        FaultPlan plan;
+        std::uint64_t deliveryHash;
+        std::uint64_t packets;
+        std::uint64_t packetsDropped;
+    };
+    std::vector<Pinned> pinned = {
+        {FaultPlan{}.linkDown(0, 1, 300), 6769943661683062733ULL, 2349,
+         0},
+        {FaultPlan::randomLinkFailures(0.05, 400, 99),
+         11409371652071512951ULL, 2344, 0},
+        {FaultPlan{}.routerDown(3, 500).routerUp(3, 900),
+         8669632917644580095ULL, 2280, 5},
+    };
+    pinned[0].plan.armed = true;
+    pinned[2].plan.armed = true;
+
+    const std::string topoId = "sn_54";
+    const RoutingMode mode = RoutingMode::Minimal;
+    for (std::size_t p = 0; p < pinned.size(); ++p) {
+        std::uint64_t seed =
+            scheduleSeed(topoId, mode, static_cast<int>(p) + 1);
+        Fingerprint fp = runSerial(topoId, mode, seed, pinned[p].plan,
+                                   /*auditEvery=*/100);
+        std::string what = "plan " + std::to_string(p);
+        EXPECT_TRUE(fp.drained) << what;
+        EXPECT_EQ(fp.deliveryHash, pinned[p].deliveryHash) << what;
+        EXPECT_EQ(fp.packets, pinned[p].packets) << what;
+        EXPECT_EQ(fp.counters.packetsDropped, pinned[p].packetsDropped)
+            << what;
+        EXPECT_GT(fp.counters.faultEvents, 0u) << what;
     }
 }
 

@@ -1,11 +1,16 @@
 /**
  * @file
- * Simulation driver tests: measurement-window semantics, load sweep
- * saturation cutoff, and saturation-throughput estimation.
+ * Simulation driver tests: measurement-window semantics, and the load
+ * sweep's saturation cutoff and the saturation search driven by real
+ * network runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
+#include "exp/strategies.hh"
 #include "sim/simulation.hh"
 #include "topo/table4.hh"
 #include "traffic/synthetic.hh"
@@ -46,32 +51,39 @@ TEST(Simulation, MeasuresOnlyWindow)
     EXPECT_NEAR(r.offeredLoad, 0.1, 0.02);
 }
 
+/** Fresh sn_subgr_200 network and random-traffic source per point. */
+PointEvaluator
+randomTrafficEvaluator(const SimConfig &cfg)
+{
+    return [cfg](double load) {
+        Network net = mkNet();
+        return runSimulation(net, mkSource(net, load), cfg);
+    };
+}
+
+/** Fresh t2d4 network per point, driven by `makeSource` whatever the
+ *  requested load; counts the evaluations. */
+PointEvaluator
+fixedSourceEvaluator(const char *routerCfg, const SimConfig &cfg,
+                     std::function<TrafficSource()> makeSource,
+                     int &evaluations)
+{
+    return [=, &evaluations](double) {
+        ++evaluations;
+        Network net(makeNamedTopology("t2d4"),
+                    RouterConfig::named(routerCfg));
+        return runSimulation(net, makeSource(), cfg);
+    };
+}
+
 TEST(Simulation, SweepStopsAtSaturation)
 {
-    auto makeNet = []() { return mkNet(); };
-    auto makeSource = [](double load) {
-        return [load](Network &net, Cycle) -> bool {
-            static thread_local std::shared_ptr<TrafficPattern> pat;
-            static thread_local std::shared_ptr<Rng> rng;
-            if (!pat) {
-                pat = std::shared_ptr<TrafficPattern>(
-                    makeTrafficPattern(PatternKind::Random,
-                                       net.topology()));
-                rng = std::make_shared<Rng>(3);
-            }
-            for (int s = 0; s < net.topology().numNodes(); ++s) {
-                if (rng->nextBool(load / 6.0)) {
-                    net.offerPacket(s, pat->destination(s, *rng), 6);
-                }
-            }
-            return true;
-        };
-    };
     SimConfig cfg;
     cfg.warmupCycles = 300;
     cfg.measureCycles = 800;
     std::vector<double> loads = {0.01, 0.05, 0.2, 0.9, 0.95, 1.0};
-    auto pts = sweepLoads(makeNet, makeSource, loads, cfg, true, 6.0);
+    auto pts = runLoadSweep(randomTrafficEvaluator(cfg), loads, true,
+                            6.0);
     // The sweep must cut off before running every overload point.
     EXPECT_GE(pts.size(), 2u);
     EXPECT_LT(pts.size(), loads.size());
@@ -79,32 +91,11 @@ TEST(Simulation, SweepStopsAtSaturation)
 
 TEST(Simulation, SaturationThroughputIsPositiveAndBounded)
 {
-    auto makeNet = []() { return mkNet(); };
-    auto makeSource = [](double load) {
-        Network *bound = nullptr;
-        (void)bound;
-        auto pat = std::make_shared<Rng>(0);
-        (void)pat;
-        return TrafficSource(
-            [load, rng = std::make_shared<Rng>(7),
-             p = std::shared_ptr<TrafficPattern>()](
-                Network &net, Cycle) mutable -> bool {
-                if (!p) {
-                    p = std::shared_ptr<TrafficPattern>(
-                        makeTrafficPattern(PatternKind::Random,
-                                           net.topology()));
-                }
-                for (int s = 0; s < net.topology().numNodes(); ++s) {
-                    if (rng->nextBool(load / 6.0))
-                        net.offerPacket(s, p->destination(s, *rng), 6);
-                }
-                return true;
-            });
-    };
     SimConfig cfg;
     cfg.warmupCycles = 300;
     cfg.measureCycles = 800;
-    double sat = saturationThroughput(makeNet, makeSource, cfg);
+    double sat =
+        findSaturation(randomTrafficEvaluator(cfg)).bestThroughput;
     EXPECT_GT(sat, 0.05);
     EXPECT_LE(sat, 1.2);
 }
@@ -115,23 +106,21 @@ TEST(Simulation, SaturationAlwaysStableNetworkNeedsOneProbe)
     // must accept the first probe and report its throughput, not
     // bisect into a bracket that does not exist. A near-zero trickle
     // source is stable regardless of the requested load.
-    auto makeNet = []() {
-        return Network(makeNamedTopology("t2d4"),
-                       RouterConfig::named("EB-Var"));
-    };
+    SimConfig cfg;
+    cfg.warmupCycles = 200;
+    cfg.measureCycles = 600;
     int evaluations = 0;
-    auto makeSource = [&evaluations](double) {
-        ++evaluations;
+    auto trickle = [] {
         return TrafficSource([](Network &net, Cycle cycle) -> bool {
             if (cycle % 97 == 0)
                 net.offerPacket(0, net.topology().numNodes() - 1, 2);
             return true;
         });
     };
-    SimConfig cfg;
-    cfg.warmupCycles = 200;
-    cfg.measureCycles = 600;
-    double sat = saturationThroughput(makeNet, makeSource, cfg);
+    double sat =
+        findSaturation(
+            fixedSourceEvaluator("EB-Var", cfg, trickle, evaluations))
+            .bestThroughput;
     EXPECT_EQ(evaluations, 1) << "stable hiLoad probe must end the "
                                  "search immediately";
     EXPECT_GT(sat, 0.0);
@@ -144,16 +133,14 @@ TEST(Simulation, SaturationUnstableAtFloorReportsFloorProbes)
     // search must stop after probing hi then lo (no bisection on an
     // empty bracket) and still report the best delivered throughput
     // it observed rather than garbage bounds.
-    auto makeNet = []() {
-        return Network(makeNamedTopology("t2d4"),
-                       RouterConfig::named("EB-Small"));
-    };
+    SimConfig cfg;
+    cfg.warmupCycles = 150;
+    cfg.measureCycles = 400;
     int evaluations = 0;
-    auto makeSource = [&evaluations](double) {
-        ++evaluations;
-        // Flood regardless of the requested load: every node offers
-        // a 6-flit packet every cycle (offered ~6 flits/node/cycle),
-        // far beyond what a radix-4 torus can carry.
+    // Flood regardless of the requested load: every node offers a
+    // 6-flit packet every cycle (offered ~6 flits/node/cycle), far
+    // beyond what a radix-4 torus can carry.
+    auto flood = [] {
         return TrafficSource(
             [rng = std::make_shared<Rng>(11),
              p = std::shared_ptr<TrafficPattern>()](
@@ -167,10 +154,10 @@ TEST(Simulation, SaturationUnstableAtFloorReportsFloorProbes)
                 return true;
             });
     };
-    SimConfig cfg;
-    cfg.warmupCycles = 150;
-    cfg.measureCycles = 400;
-    double sat = saturationThroughput(makeNet, makeSource, cfg);
+    double sat =
+        findSaturation(
+            fixedSourceEvaluator("EB-Small", cfg, flood, evaluations))
+            .bestThroughput;
     EXPECT_EQ(evaluations, 2) << "hi then lo, both unstable — the "
                                  "bracket is empty";
     // Delivered throughput under flood is whatever the network

@@ -2,9 +2,8 @@
  * @file
  * Closed-loop workload layer tests: window conservation under direct
  * cycle driving, request/reply accounting at quiescence, fault-purge
- * unblocking, and bitwise equivalence across worker-thread counts and
- * the serial and space-sharded execution modes for closed-loop
- * scenarios.
+ * unblocking, and bitwise equivalence across worker-thread counts
+ * for closed-loop scenarios.
  */
 
 #include <gtest/gtest.h>
@@ -174,12 +173,11 @@ TEST(ClosedLoop, FaultPurgeFreesWindowSlotsInsteadOfDeadlocking)
     EXPECT_EQ(rig.cls.state->liveSlots(), 0u);
 }
 
-TEST(ClosedLoop, ThreadCountsAndShardsBitwiseIdentical)
+TEST(ClosedLoop, ThreadCountsBitwiseIdentical)
 {
     // A window sweep plus the same points as Single jobs, so four
-    // workers run concurrently; the sharded runs drive the same
-    // scenarios through the space-sharded cycle loop. All must be
-    // bitwise identical to the serial reference.
+    // workers run concurrently. All must be bitwise identical to the
+    // one-thread reference.
     ClosedLoopSpec spec;
     spec.sweepAxis = ClosedLoopAxis::Window;
     spec.forwardFraction = 0.3;
@@ -199,17 +197,9 @@ TEST(ClosedLoop, ThreadCountsAndShardsBitwiseIdentical)
     serialOpts.threads = 1;
     RunnerOptions parallelOpts;
     parallelOpts.threads = 4;
-    RunnerOptions sharded2Opts;
-    sharded2Opts.threads = 1;
-    sharded2Opts.simShards = 2;
-    RunnerOptions sharded4Opts;
-    sharded4Opts.threads = 1;
-    sharded4Opts.simShards = 4;
 
     auto serial = ExperimentRunner(serialOpts).run(plan);
     auto parallel = ExperimentRunner(parallelOpts).run(plan);
-    auto sharded2 = ExperimentRunner(sharded2Opts).run(plan);
-    auto sharded4 = ExperimentRunner(sharded4Opts).run(plan);
     ASSERT_EQ(serial.size(), 5u);
     ASSERT_EQ(serial[0].points.size(), 4u);
     for (std::size_t j = 1; j < 5; ++j) {
@@ -228,10 +218,6 @@ TEST(ClosedLoop, ThreadCountsAndShardsBitwiseIdentical)
                         serial[p + 1].points[0].sim);
         expectIdentical(serial[0].points[p].sim,
                         parallel[0].points[p].sim);
-        expectIdentical(serial[0].points[p].sim,
-                        sharded2[0].points[p].sim);
-        expectIdentical(serial[0].points[p].sim,
-                        sharded4[0].points[p].sim);
     }
     // Deeper windows admit more outstanding requests: occupancy must
     // be monotonically non-decreasing across the sweep.

@@ -2,8 +2,8 @@
  * @file
  * Collective workload tests: exact chain/phase accounting for
  * broadcast, barrier and all-to-all schedules, token conservation
- * under faults, and bitwise equivalence across worker-thread counts
- * and the serial and space-sharded execution modes.
+ * under faults, and bitwise equivalence across worker-thread
+ * counts.
  */
 
 #include <gtest/gtest.h>
@@ -155,7 +155,7 @@ TEST(Collective, FaultDropsResolveTokensInsteadOfWedgingThePhase)
     EXPECT_EQ(rig.cs.state->openTokens(), 0u);
 }
 
-TEST(Collective, ThreadCountsAndShardsBitwiseIdentical)
+TEST(Collective, ThreadCountsBitwiseIdentical)
 {
     // Unlimited rounds span the measurement window; the two
     // collective singles run concurrently at four workers.
@@ -176,19 +176,14 @@ TEST(Collective, ThreadCountsAndShardsBitwiseIdentical)
     serialOpts.threads = 1;
     RunnerOptions parallelOpts;
     parallelOpts.threads = 4;
-    RunnerOptions shardedOpts;
-    shardedOpts.threads = 1;
-    shardedOpts.simShards = 3;
 
     auto serial = ExperimentRunner(serialOpts).run(plan);
     auto parallel = ExperimentRunner(parallelOpts).run(plan);
-    auto sharded = ExperimentRunner(shardedOpts).run(plan);
     ASSERT_EQ(serial.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
         const SimResult &a = serial[i].points[0].sim;
         const SimResult &b = parallel[i].points[0].sim;
-        const SimResult &c = sharded[i].points[0].sim;
         EXPECT_EQ(a.throughput, b.throughput);
         EXPECT_EQ(a.avgPacketLatency, b.avgPacketLatency);
         EXPECT_EQ(a.counters.flitsDelivered, b.counters.flitsDelivered);
@@ -200,17 +195,6 @@ TEST(Collective, ThreadCountsAndShardsBitwiseIdentical)
                   b.counters.clReqLatencySum);
         EXPECT_EQ(a.counters.clPhasesCompleted,
                   b.counters.clPhasesCompleted);
-        EXPECT_EQ(a.throughput, c.throughput);
-        EXPECT_EQ(a.avgPacketLatency, c.avgPacketLatency);
-        EXPECT_EQ(a.counters.flitsDelivered, c.counters.flitsDelivered);
-        EXPECT_EQ(a.counters.clRequestsIssued,
-                  c.counters.clRequestsIssued);
-        EXPECT_EQ(a.counters.clRepliesMatched,
-                  c.counters.clRepliesMatched);
-        EXPECT_EQ(a.counters.clReqLatencySum,
-                  c.counters.clReqLatencySum);
-        EXPECT_EQ(a.counters.clPhasesCompleted,
-                  c.counters.clPhasesCompleted);
     }
 }
 
