@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 #include "exp/plan_io.hh"
 
@@ -80,7 +83,92 @@ fullFatPlan()
     plan.addSaturation(satBase, sat);
 
     plan.add(makeTraceScenario("cm_54", "ocean-c", 1234, 77));
+
+    ClosedLoopSpec cl;
+    cl.window = 4;
+    cl.issueProb = 0.5;
+    cl.requestSizeFlits = 3;
+    cl.replySizeFlits = 5;
+    cl.forwardSizeFlits = 4;
+    cl.forwardFraction = 0.25;
+    cl.memoryDelay = 90;
+    cl.sweepAxis = ClosedLoopAxis::Window;
+    cl.stopAfterRequests = 5000;
+    plan.add(makeClosedLoopScenario("sn_54", "EB-Small",
+                                    PatternKind::Shuffle, cl));
+
+    CollectiveSpec coll;
+    coll.kind = CollectiveKind::AllToAll;
+    coll.root = 3;
+    coll.fanout = 5;
+    coll.rounds = 2;
+    coll.phases = 4;
+    coll.gapCycles = 10;
+    coll.payloadSizeFlits = 8;
+    coll.controlSizeFlits = 1;
+    plan.add(makeCollectiveScenario("cm_54", "EB-Large", coll));
     return plan;
+}
+
+/**
+ * A saturation-job result row with every SimResult, SimCounters and
+ * bookkeeping field away from its default, plus a failed point. Keep
+ * in sync with tests/exp/golden/job_result_full.json.
+ */
+JobResult
+fullFatJobResult()
+{
+    SimResult sim;
+    sim.avgPacketLatency = 23.5;
+    sim.avgNetworkLatency = 0.1 + 0.2; // shortest round-trip token
+    sim.p99PacketLatencyBound = 41.125;
+    sim.avgHops = 2.5;
+    sim.throughput = 0.1875;
+    sim.offeredLoad = 0.2;
+    sim.packetsDelivered = 1234;
+    sim.stable = false;
+    std::uint64_t next = 1;
+    for (std::uint64_t *c :
+         {&sim.counters.bufferWrites, &sim.counters.bufferReads,
+          &sim.counters.cbWrites, &sim.counters.cbReads,
+          &sim.counters.crossbarTraversals, &sim.counters.linkFlitHops,
+          &sim.counters.flitsInjected, &sim.counters.flitsDelivered,
+          &sim.counters.packetsInjected,
+          &sim.counters.packetsDelivered, &sim.counters.faultEvents,
+          &sim.counters.flitsDropped, &sim.counters.packetsDropped,
+          &sim.counters.packetsUnroutable,
+          &sim.counters.packetsRefused, &sim.counters.packetsRerouted,
+          &sim.counters.clRequestsIssued,
+          &sim.counters.clRepliesMatched,
+          &sim.counters.clReqLatencySum,
+          &sim.counters.clWindowOccupancy,
+          &sim.counters.clStallNodeCycles,
+          &sim.counters.clSlotsPurged,
+          &sim.counters.clPhasesCompleted})
+        *c = next++;
+    sim.cyclesRun = 12000;
+
+    JobResult r;
+    r.kind = Job::Kind::Saturation;
+    r.saturationLoad = 0.375;
+    r.bestThroughput = 0.3125;
+    r.status = JobStatus::Failed;
+    r.error = "point 1: boom";
+    r.retries = 2;
+    r.cacheHits = 1;
+    r.cacheMisses = 3;
+    r.wallMs = 12.75;
+
+    ScenarioResult good;
+    good.scenario = fullFatPlan().jobs[2].scenario;
+    good.sim = sim;
+    ScenarioResult bad;
+    bad.scenario = good.scenario;
+    bad.scenario.load = 0.9;
+    bad.ok = false;
+    bad.error = "boom";
+    r.points = {good, bad};
+    return r;
 }
 
 TEST(Serialize, GoldenBytesArePinned)
@@ -95,6 +183,41 @@ TEST(Serialize, GoldenParsesBackToTheSamePlan)
 {
     std::string golden = readTextFile(goldenPath("plan_full.json"));
     EXPECT_TRUE(parsePlan(golden, "plan_full.json") == fullFatPlan());
+}
+
+TEST(Serialize, JobResultGoldenIsPinnedAndRoundTrips)
+{
+    std::string golden =
+        readTextFile(goldenPath("job_result_full.json"));
+    EXPECT_EQ(toJson(fullFatJobResult()).dump(2) + "\n", golden)
+        << "canonical result-row form changed: stored results and "
+           "journals written before the change would no longer "
+           "read back";
+    EXPECT_TRUE(jobResultFromJson(JsonValue::parse(golden)) ==
+                fullFatJobResult());
+}
+
+TEST(Serialize, CommittedPlansKeepTheirCanonicalHash)
+{
+    // One "<sha256>  plans/<file>" line per committed plan: the hash
+    // of its canonical form, which result-store keys and journal
+    // plan bindings are derived from (the build stamp aside).
+    std::map<std::string, std::string> pinned;
+    std::istringstream lines(
+        readTextFile(goldenPath("plan_canonical.sha256")));
+    std::string hash, file;
+    while (lines >> hash >> file)
+        pinned[file] = hash;
+
+    std::map<std::string, std::string> actual;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(SNOC_SOURCE_DIR) + "/plans")) {
+        std::string name =
+            "plans/" + entry.path().filename().string();
+        actual[name] = sha256Hex(
+            serializePlan(loadPlanFile(entry.path().string())));
+    }
+    EXPECT_EQ(actual, pinned);
 }
 
 TEST(Serialize, RoundTripIsExact)
