@@ -18,6 +18,7 @@
 #include "power/tech_params.hh"
 #include "sim/router_config.hh"
 #include "topo/table4.hh"
+#include "trace/trace.hh"
 #include "trace/workloads.hh"
 
 namespace snoc::cli {
@@ -166,9 +167,16 @@ describeScenario(const Scenario &s, std::ostream &out,
             << s.traffic.packetSizeFlits << " flits/packet\n";
         break;
     }
-    out << indent << "windows  warmup " << s.sim.warmupCycles
-        << ", measure " << s.sim.measureCycles << "\n"
-        << indent << "seeds    traffic " << s.seed << ", routing "
+    if (s.traffic.kind == TrafficSpec::Kind::Workload) {
+        // Trace replay runs its own windows; `sim` is ignored.
+        SimConfig w = workloadSimConfig(s.traffic.workloadCycles);
+        out << indent << "windows  warmup " << w.warmupCycles
+            << ", measure " << w.measureCycles << ", drain on\n";
+    } else {
+        out << indent << "windows  warmup " << s.sim.warmupCycles
+            << ", measure " << s.sim.measureCycles << "\n";
+    }
+    out << indent << "seeds    traffic " << s.seed << ", routing "
         << s.routingSeed << "\n";
     if (s.faults.active())
         out << indent << "faults   " << s.faults.events.size()
@@ -314,9 +322,7 @@ writeManifest(const std::string &manifestPath,
               JsonValue::number(static_cast<std::uint64_t>(i)));
         j.set("label",
               JsonValue::string(plan.jobs[i].scenario.describe()));
-        j.set("status", JsonValue::string(
-                            r.status == JobStatus::Ok ? "ok"
-                                                      : "failed"));
+        j.set("status", JsonValue::string(to_string(r.status)));
         if (!r.error.empty())
             j.set("error", JsonValue::string(r.error));
         j.set("wallMs", JsonValue::number(r.wallMs));

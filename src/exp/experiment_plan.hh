@@ -115,6 +115,18 @@ struct JobResult
     bool operator==(const JobResult &) const = default;
 };
 
+/** Plan-file name of a job kind: "single", "sweep", "saturation". */
+std::string to_string(Job::Kind kind);
+
+/** Resolve a job-kind name. @throws FatalError when unknown. */
+Job::Kind jobKindFromName(const std::string &name);
+
+/** Result-row name of a job status: "ok" or "failed". */
+std::string to_string(JobStatus status);
+
+/** Resolve a job-status name. @throws FatalError when unknown. */
+JobStatus jobStatusFromName(const std::string &name);
+
 /** An ordered batch of jobs; results keep plan order. */
 struct ExperimentPlan
 {

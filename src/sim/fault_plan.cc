@@ -2,9 +2,41 @@
 
 #include <algorithm>
 
+#include "common/log.hh"
 #include "common/rng.hh"
 
 namespace snoc {
+
+namespace {
+
+constexpr std::pair<FaultEvent::Kind, const char *> kEventKinds[] = {
+    {FaultEvent::Kind::LinkDown, "link-down"},
+    {FaultEvent::Kind::LinkUp, "link-up"},
+    {FaultEvent::Kind::RouterDown, "router-down"},
+    {FaultEvent::Kind::RouterUp, "router-up"},
+};
+
+} // namespace
+
+std::string
+to_string(FaultEvent::Kind kind)
+{
+    for (const auto &[k, name] : kEventKinds)
+        if (k == kind)
+            return name;
+    SNOC_PANIC("unregistered fault-event kind");
+}
+
+FaultEvent::Kind
+faultEventKindFromName(const std::string &name)
+{
+    for (const auto &[k, n] : kEventKinds)
+        if (name == n)
+            return k;
+    fatal("unknown fault-event kind '", name,
+          "' (expected one of: link-down, link-up, router-down, "
+          "router-up)");
+}
 
 std::vector<FaultEvent>
 FaultPlan::resolve(const Graph &g) const

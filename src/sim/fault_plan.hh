@@ -29,6 +29,7 @@
 #define SNOC_SIM_FAULT_PLAN_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hh"
@@ -144,6 +145,15 @@ struct FaultPlan
      */
     std::vector<FaultEvent> resolve(const Graph &g) const;
 };
+
+/** Plan-file name of an event kind: "link-down", "router-up", ... */
+std::string to_string(FaultEvent::Kind kind);
+
+/**
+ * Resolve an event-kind name.
+ * @throws FatalError listing the valid names when unknown.
+ */
+FaultEvent::Kind faultEventKindFromName(const std::string &name);
 
 } // namespace snoc
 

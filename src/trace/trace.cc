@@ -164,17 +164,23 @@ makeTraceSource(std::vector<TraceEvent> events, Cycle memoryDelay)
     };
 }
 
+SimConfig
+workloadSimConfig(Cycle cycles)
+{
+    SimConfig cfg;
+    cfg.warmupCycles = cycles / 10;
+    cfg.measureCycles = cycles;
+    cfg.drain = true;
+    return cfg;
+}
+
 SimResult
 runWorkload(Network &net, const WorkloadProfile &profile, Cycle cycles,
             std::uint64_t seed)
 {
     auto events = generateTrace(profile, net.topology(), cycles, seed);
     TrafficSource src = makeTraceSource(std::move(events));
-    SimConfig cfg;
-    cfg.warmupCycles = cycles / 10;
-    cfg.measureCycles = cycles;
-    cfg.drain = true;
-    return runSimulation(net, src, cfg);
+    return runSimulation(net, src, workloadSimConfig(cycles));
 }
 
 } // namespace snoc

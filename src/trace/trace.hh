@@ -55,6 +55,12 @@ TrafficSource makeTraceSource(std::vector<TraceEvent> events,
                               Cycle memoryDelay = 60);
 
 /**
+ * The windows a `cycles`-long workload runs with: warmup cycles / 10,
+ * measure `cycles`, drain on. A scenario's own SimConfig is ignored.
+ */
+SimConfig workloadSimConfig(Cycle cycles);
+
+/**
  * Convenience: run one workload to completion on a network and
  * report the measured statistics (drains all replies).
  */

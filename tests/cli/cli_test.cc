@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "common/env.hh"
@@ -193,6 +194,38 @@ TEST(Cli, DescribeResolvesCommittedPlans)
     ASSERT_EQ(cli({"describe", "plans/custom_campaign.json"}, &out),
               0);
     EXPECT_NE(out.find("jobs     19"), std::string::npos);
+}
+
+TEST(Cli, DescribePrintsTheWindowsATraceScenarioRuns)
+{
+    // fig18 replays 5000-cycle traces: runWorkload's windows, not the
+    // scenario's ignored `sim` defaults (2000 / 10000).
+    std::string out;
+    ASSERT_EQ(cli({"describe", "plans/fig18.json"}, &out), 0);
+    EXPECT_NE(out.find("windows  warmup 500, measure 5000, drain on"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("warmup 2000"), std::string::npos) << out;
+}
+
+TEST(Cli, BadSweepLoadIsAParseErrorNotAnAbort)
+{
+    // A negative load used to pass the parser and abort the whole
+    // run inside the traffic source (exit 134).
+    std::string plan = ::testing::TempDir() + "/snoc_negative_load.json";
+    {
+        std::ofstream f(plan);
+        f << R"({"jobs":[{"scenario":{"topology":"sn_54"},)"
+          << R"("sweep":{"loads":[-0.5,0.05]}}]})";
+    }
+    std::string out, err;
+    EXPECT_EQ(cli({"run", plan, "--no-manifest", "--no-journal"}, &out,
+                  &err),
+              1);
+    EXPECT_NE(err.find("$.jobs[0].sweep.loads[0]: must be non-negative"),
+              std::string::npos)
+        << err;
+    std::remove(plan.c_str());
 }
 
 TEST(Cli, RunMatchesTheCommittedGoldenAndWritesAManifest)

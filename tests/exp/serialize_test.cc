@@ -11,14 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "common/hash.hh"
 #include "common/log.hh"
 #include "exp/plan_io.hh"
+#include "exp/result_store.hh"
+#include "exp/runner.hh"
+#include "exp/schema.hh"
 
 #ifndef SNOC_SOURCE_DIR
 #define SNOC_SOURCE_DIR "."
@@ -371,6 +377,319 @@ TEST(Serialize, ErrorsCarryTheJsonPath)
         R"({"jobs": [{"scenario": {"topology": "sn_54",
              "sim": {"warmupCycles": "soon"}}}]})",
         "$.jobs[0].scenario.sim.warmupCycles");
+
+    // Sweep and saturation inputs are checked at parse time, not by
+    // an assertion deep inside the run.
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54"},
+                      "sweep": {"loads": [-0.5, 0.05]}}]})",
+        "$.jobs[0].sweep.loads[0]: must be non-negative");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54"},
+                      "sweep": {"loads": [0.05],
+                                "saturationFactor": 0}}]})",
+        "$.jobs[0].sweep.saturationFactor: must be positive");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54"},
+                      "saturation": {"loLoad": -0.1}}]})",
+        "$.jobs[0].saturation.loLoad: must be non-negative");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54"},
+                      "saturation": {"loLoad": 0.5,
+                                     "hiLoad": 0.2}}]})",
+        "$.jobs[0].saturation.hiLoad: must exceed loLoad");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54"},
+                      "saturation": {"tolerance": 0}}]})",
+        "$.jobs[0].saturation.tolerance: must be positive");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54"},
+                      "saturation": {"maxProbes": 0}}]})",
+        "$.jobs[0].saturation.maxProbes: must be at least 1");
+}
+
+// --- Ios over the same schema declarations ----------------------------------
+
+template <class V>
+constexpr bool kIsVector = false;
+template <class E>
+constexpr bool kIsVector<std::vector<E>> = true;
+
+template <class V>
+constexpr bool kIsStruct =
+    std::is_class_v<V> && !std::is_same_v<V, std::string> &&
+    !kIsVector<V>;
+
+/** Whether `rule` accepts `v`. */
+template <class V, class Rule>
+bool
+accepts(const Rule &rule, const V &v)
+{
+    try {
+        rule(v);
+        return true;
+    } catch (const FatalError &) {
+        return false;
+    }
+}
+
+/** A value other than `v` that `rule` accepts. */
+template <class V, class Rule>
+V
+otherValue(const V &v, const Rule &rule)
+{
+    std::vector<V> candidates;
+    if constexpr (std::is_same_v<V, bool>) {
+        candidates = {!v};
+    } else if constexpr (std::is_same_v<V, std::string>) {
+        candidates = {"x"};
+        for (const auto *names :
+             {&namedTopologyIds(), &RouterConfig::names(),
+              &workloadNames(), &techCornerNames()})
+            candidates.insert(candidates.end(), names->begin(),
+                              names->end());
+    } else if constexpr (std::is_floating_point_v<V>) {
+        candidates = {v / 2, 0.5, v + 1};
+    } else {
+        candidates = {V(v + 1), V(v - 1)};
+    }
+    for (const V &c : candidates)
+        if (c != v && accepts(rule, c))
+            return c;
+    ADD_FAILURE() << "no valid alternative value";
+    return v;
+}
+
+/** One pass of the per-member mutator over a schema tree. */
+struct Mutation
+{
+    int target = 0;       //!< index of the member to move
+    int seen = 0;         //!< members visited so far
+    bool repair = false;  //!< pass 2: make visible members valid
+    std::string moved;    //!< path of the member that was moved
+};
+
+/**
+ * Visits members in schema order and moves member number
+ * `target` off its value, activating the gates around it. A second
+ * pass with `repair` set replaces values the rules reject in the
+ * members that became visible (an enabled workload needs a name).
+ */
+template <class T>
+struct Mutator
+{
+    static constexpr bool kReads = false;
+    T &x;
+    Mutation &m;
+    std::string path;
+
+    template <class M, class Rule = AnyValue>
+    void
+    field(const char *key, M T::*member, Rule rule = {},
+          Presence = kOptional)
+    {
+        visit(x.*member, path + "." + key, rule);
+    }
+
+    template <class E, class FromName>
+    void
+    name(const char *key, E T::*member, FromName, Presence = kOptional)
+    {
+        E &v = x.*member;
+        if (!m.repair && m.seen++ == m.target) {
+            v = v == E{} ? E(1) : E{}; // every enum has two or more
+            m.moved = path + "." + key;
+        }
+    }
+
+    template <class S, class Fn>
+    void
+    when(S &selector, std::initializer_list<S> values, Fn fn)
+    {
+        if (m.repair) {
+            if (std::find(values.begin(), values.end(), selector) !=
+                values.end())
+                fn();
+            return;
+        }
+        bool before = !m.moved.empty();
+        fn();
+        if (!before && !m.moved.empty())
+            selector = *values.begin();
+    }
+
+    template <class Fn>
+    void
+    object(const char *key, Fn fn)
+    {
+        Mutator group{x, m, path + "." + key};
+        fn(group);
+    }
+
+    void check(bool, const char *, const char *) {}
+
+    template <class V, class Rule>
+    void
+    visit(V &v, const std::string &at, const Rule &rule)
+    {
+        if constexpr (kIsStruct<V>) {
+            Mutator<V> sub{v, m, at};
+            schema(sub, v);
+        } else if constexpr (kIsVector<V>) {
+            for (std::size_t i = 0; i < v.size(); ++i)
+                visit(v[i], at + "[" + std::to_string(i) + "]", rule);
+            if (!m.repair && m.seen++ == m.target) {
+                v.push_back(v.empty() ? typename V::value_type{}
+                                      : v.back());
+                m.moved = at;
+            }
+        } else if (m.repair) {
+            if (!accepts(rule, v))
+                v = otherValue(v, rule);
+        } else if (m.seen++ == m.target) {
+            v = otherValue(v, rule);
+            m.moved = at;
+        }
+    }
+};
+
+TEST(Schema, EveryScenarioMemberReachesTheKeyAndRoundTrips)
+{
+    Scenario base;
+    base.topology = "sn_54";
+    base.faults.linkDown(1, 2, 100); // so event members are visited
+    const std::string baseText = serializeScenario(base);
+
+    int members = 0;
+    for (;; ++members) {
+        Scenario s = base;
+        Mutation m;
+        m.target = members;
+        Mutator<Scenario> mutate{s, m, "$"};
+        schema(mutate, s);
+        if (m.moved.empty())
+            break;
+        m.repair = true;
+        Mutator<Scenario> repair{s, m, "$"};
+        schema(repair, s);
+
+        std::string text = serializeScenario(s);
+        EXPECT_NE(text, baseText) << m.moved;
+        EXPECT_NE(resultKey(s), resultKey(base)) << m.moved;
+        EXPECT_TRUE(parseScenario(text) == s) << m.moved << "\n" << text;
+    }
+    // Every member of the Scenario tree, the events array and each
+    // member of its one event included.
+    EXPECT_EQ(members, 44);
+}
+
+TEST(Schema, TraceScenarioSimChangesTheKeyButNotTheResult)
+{
+    // The one named exception to "every member changes the result":
+    // trace replay runs its own windows (workloadSimConfig), so a
+    // `sim` block on a workload scenario enters the cache key yet
+    // changes nothing. The campaign benchmark's prepare step shrinks
+    // `sim` on every scenario, trace ones included, which is why the
+    // reader does not reject the block yet.
+    Scenario trace = makeTraceScenario("sn_54", "radix", 300);
+    Scenario shifted = trace;
+    shifted.sim.warmupCycles = 50;
+    shifted.sim.measureCycles = 100;
+    shifted.sim.drain = true;
+    EXPECT_NE(resultKey(shifted), resultKey(trace));
+    EXPECT_TRUE(ExperimentRunner::runScenario(shifted) ==
+                ExperimentRunner::runScenario(trace));
+}
+
+/** Collects declared member names per docs table heading. */
+using MemberTables = std::map<std::string, std::vector<std::string>>;
+
+std::string
+tableHeading(const std::string &key)
+{
+    // A struct's table is titled after the member that holds it.
+    static const std::map<std::string, std::string> special = {
+        {"", "Plan (top level)"}, {"jobs", "Job"}, {"events", "Event"}};
+    if (auto it = special.find(key); it != special.end())
+        return it->second;
+    std::string heading = key;
+    heading[0] = static_cast<char>(std::toupper(heading[0]));
+    return heading;
+}
+
+template <class T>
+struct NameCollector
+{
+    static constexpr bool kReads = false;
+    T &x;
+    MemberTables &tables;
+    std::string table;
+
+    template <class M, class Rule = AnyValue>
+    void
+    field(const char *key, M T::*member, Rule = {}, Presence = kOptional)
+    {
+        tables[table].push_back(key);
+        if constexpr (kIsStruct<M>) {
+            NameCollector<M> sub{x.*member, tables, tableHeading(key)};
+            schema(sub, x.*member);
+        } else if constexpr (kIsVector<M>) {
+            using E = typename M::value_type;
+            if constexpr (kIsStruct<E>) {
+                E item{};
+                NameCollector<E> sub{item, tables, tableHeading(key)};
+                schema(sub, item);
+            }
+        }
+    }
+
+    template <class E, class FromName>
+    void
+    name(const char *key, E T::*, FromName, Presence = kOptional)
+    {
+        tables[table].push_back(key);
+    }
+
+    template <class S, class Fn>
+    void
+    when(S &, std::initializer_list<S>, Fn fn)
+    {
+        fn();
+    }
+
+    template <class Fn>
+    void
+    object(const char *key, Fn fn)
+    {
+        tables[table].push_back(key);
+        NameCollector group{x, tables, tableHeading(key)};
+        fn(group);
+    }
+
+    void check(bool, const char *, const char *) {}
+};
+
+TEST(Schema, DocsListExactlyTheDeclaredMembers)
+{
+    ExperimentPlan plan;
+    MemberTables declared;
+    NameCollector<ExperimentPlan> collect{plan, declared,
+                                          tableHeading("")};
+    schema(collect, plan);
+
+    // "| `member` | ..." rows, grouped under the nearest heading.
+    MemberTables documented;
+    std::istringstream doc(readTextFile(
+        std::string(SNOC_SOURCE_DIR) + "/docs/SCENARIO_SCHEMA.md"));
+    std::string line, heading;
+    while (std::getline(doc, line)) {
+        if (line.rfind("#", 0) == 0)
+            heading = line.substr(line.find(' ') + 1);
+        else if (line.rfind("| `", 0) == 0)
+            documented[heading].push_back(
+                line.substr(3, line.find('`', 3) - 3));
+    }
+    EXPECT_EQ(documented, declared);
 }
 
 TEST(Serialize, FastModeTransformScalesPlans)
