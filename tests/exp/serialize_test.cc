@@ -1,10 +1,14 @@
 /**
  * @file
  * JSON round-trip tests for the experiment data structures: the
- * committed golden (every field non-default, armed FaultPlan
- * included) pins the canonical serialized form byte-for-byte, the
+ * committed goldens (every field non-default, armed FaultPlan
+ * included; a full result row; the canonical hash of each committed
+ * plan) pin the canonical serialized forms byte-for-byte, the
  * property checks prove parse(serialize(x)) == x, and the error
- * cases pin the JSON-path diagnostics for malformed input.
+ * cases pin the JSON-path diagnostics for malformed input. Two more
+ * Ios over the schema declarations (exp/schema.hh) check that every
+ * Scenario member reaches the cache key and that the schema doc
+ * lists exactly the declared members.
  */
 
 #include "exp/serialize.hh"
