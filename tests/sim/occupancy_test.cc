@@ -153,35 +153,48 @@ fnv(std::uint64_t &h, std::uint64_t v)
     }
 }
 
-TEST(OccupancyTracking, WideRoutersTakeTheDenseSweep)
+/** Delivery-stream and counter fingerprints of one wide-router run. */
+struct WideRun
 {
-    // clos_1296's spine routers have 162 ports, more than one mask
-    // word holds, so they run the dense sweep while the leaves run
-    // the mask sweep. The fingerprint was captured when every router
-    // took the mask path (port masks did not exist yet): equality
-    // proves the two paths arbitrate identically.
+    std::uint64_t packets = 0;
+    std::uint64_t deliveryHash = 1469598103934665603ULL; // FNV basis
+    std::uint64_t counterHash = 1469598103934665603ULL;
+};
+
+/**
+ * Drive clos_1296 (162-port spines, three port-activity words) with
+ * `perCycle` random packets per cycle for `cycles` cycles, auditing
+ * every 50 cycles, then drain and fingerprint what was delivered.
+ * Minimal routing's lowest-id tie-break sends every leaf-to-leaf
+ * packet through one spine, so that spine arbitrates between
+ * requesters in all three words every cycle.
+ */
+WideRun
+runWide(const char *routerConfig, RoutingMode routing, int perCycle,
+        int cycles, std::uint64_t seed)
+{
     NocTopology topo = makeNamedTopology("clos_1296");
     int widest = 0;
     for (int r = 0; r < topo.numRouters(); ++r)
         widest = std::max(
             widest, static_cast<int>(topo.routers().neighbors(r).size()));
-    ASSERT_GT(widest, 64);
+    EXPECT_GT(widest, 128);
 
-    Network net(topo, RouterConfig::named("EB-Var"), LinkConfig{},
-                RoutingMode::Minimal, /*seed=*/7);
+    Network net(topo, RouterConfig::named(routerConfig), LinkConfig{},
+                routing, /*seed=*/7);
     SimInvariantChecker checker(net);
-    std::uint64_t deliveryHash = 1469598103934665603ULL; // FNV basis
-    checker.setDeliveryCallback([&deliveryHash](const Packet &p) {
-        fnv(deliveryHash, p.id);
-        fnv(deliveryHash, static_cast<std::uint64_t>(p.srcNode));
-        fnv(deliveryHash, static_cast<std::uint64_t>(p.dstNode));
-        fnv(deliveryHash, static_cast<std::uint64_t>(p.hops));
-        fnv(deliveryHash, p.injectedAt);
-        fnv(deliveryHash, p.ejectedAt);
+    WideRun run;
+    checker.setDeliveryCallback([&run](const Packet &p) {
+        fnv(run.deliveryHash, p.id);
+        fnv(run.deliveryHash, static_cast<std::uint64_t>(p.srcNode));
+        fnv(run.deliveryHash, static_cast<std::uint64_t>(p.dstNode));
+        fnv(run.deliveryHash, static_cast<std::uint64_t>(p.hops));
+        fnv(run.deliveryHash, p.injectedAt);
+        fnv(run.deliveryHash, p.ejectedAt);
     });
-    std::uint64_t s = 0xc105;
-    for (int c = 0; c < 300; ++c) {
-        offerRandom(net, s, 48);
+    std::uint64_t s = seed;
+    for (int c = 0; c < cycles; ++c) {
+        offerRandom(net, s, perCycle);
         net.step();
         if (c % 50 == 49)
             checker.check("cycle " + std::to_string(c));
@@ -193,15 +206,49 @@ TEST(OccupancyTracking, WideRoutersTakeTheDenseSweep)
     checker.checkQuiescent("after drain");
 
     const SimCounters &k = net.counters();
-    std::uint64_t counterHash = 1469598103934665603ULL;
     for (std::uint64_t v :
          {k.bufferWrites, k.bufferReads, k.cbWrites, k.cbReads,
           k.crossbarTraversals, k.linkFlitHops, k.flitsInjected,
           k.flitsDelivered, k.packetsInjected, k.packetsDelivered})
-        fnv(counterHash, v);
-    EXPECT_EQ(k.packetsDelivered, 14387u);
-    EXPECT_EQ(deliveryHash, 17698057111276848339ULL);
-    EXPECT_EQ(counterHash, 17825123032882910645ULL);
+        fnv(run.counterHash, v);
+    run.packets = k.packetsDelivered;
+    return run;
+}
+
+TEST(OccupancyTracking, WideRoutersTakeTheDenseSweep)
+{
+    // clos_1296's spine routers have 162 ports, more than one mask
+    // word holds, so they run the dense sweep while the leaves run
+    // the mask sweep. The fingerprint was captured when every router
+    // took the mask path (port masks did not exist yet): equality
+    // proves the two paths arbitrate identically.
+    WideRun r = runWide("EB-Var", RoutingMode::Minimal, 48, 300, 0xc105);
+    EXPECT_EQ(r.packets, 14387u);
+    EXPECT_EQ(r.deliveryHash, 17698057111276848339ULL);
+    EXPECT_EQ(r.counterHash, 17825123032882910645ULL);
+}
+
+// The next two fingerprints were captured from the dense sweep the
+// 162-port spines take. Minimal EB-Var traffic enters a spine on one
+// VC, so each input requests one output and the output-port order
+// cannot show; here it does. Under CBR-6 the spine's single CB
+// output goes to the first output port in rotated order that drains
+// it (cbIntake/cbDivert run under contention too), and under UGAL-L
+// inputs hold heads on several VCs bound for different outputs.
+TEST(OccupancyTracking, WideCentralBufferRoutersKeepTheirArbitration)
+{
+    WideRun r = runWide("CBR-6", RoutingMode::Minimal, 64, 300, 0xcb1296);
+    EXPECT_EQ(r.packets, 19179u);
+    EXPECT_EQ(r.deliveryHash, 2023834003736106588ULL);
+    EXPECT_EQ(r.counterHash, 3314817687325657587ULL);
+}
+
+TEST(OccupancyTracking, WideUgalRoutersKeepTheirArbitration)
+{
+    WideRun r = runWide("EB-Var", RoutingMode::UgalL, 48, 300, 0x06a1);
+    EXPECT_EQ(r.packets, 14393u);
+    EXPECT_EQ(r.deliveryHash, 12069841858656520395ULL);
+    EXPECT_EQ(r.counterHash, 14370668082627874315ULL);
 }
 
 TEST(OccupancyTracking, PathOccupancyIsSumOfLinkOccupancies)
