@@ -552,84 +552,69 @@ Network::auditInvariants(std::string &err) const
 
         // Incremental sweep masks / requester refcounts vs a
         // from-scratch scan.
-        if (rt.masksEnabled_) {
-            std::vector<std::uint16_t> reqRecount(
-                rt.reqCount_.size(), 0);
-            for (std::size_t p = 0; p < rt.inputs_.size(); ++p) {
-                const Router::InputPort &ip = rt.inputs_[p];
-                std::uint64_t occMask = 0;
-                for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
-                    const Router::InputVc &ivc = ip.vcs[v];
-                    if (!ivc.buffer.empty())
-                        occMask |= std::uint64_t{1} << v;
-                    if (ivc.routed && !ivc.viaCb)
-                        ++reqRecount[static_cast<std::size_t>(
-                                         ivc.outPort) *
-                                         static_cast<std::size_t>(
-                                             rt.numVcs_) +
-                                     static_cast<std::size_t>(
-                                         ivc.outVc)];
-                }
-                if (ip.occMask != occMask) {
-                    oss << "router " << rt.id_ << " input port " << p
-                        << ": occMask " << ip.occMask
-                        << " != recount " << occMask;
-                    return fail(oss.str());
-                }
+        std::size_t nv = static_cast<std::size_t>(rt.numVcs_);
+        std::vector<std::uint16_t> reqRecount(rt.reqCount_.size(), 0);
+        for (std::size_t p = 0; p < rt.inputs_.size(); ++p) {
+            const Router::InputPort &ip = rt.inputs_[p];
+            std::uint64_t occMask = 0;
+            for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
+                const Router::InputVc &ivc = ip.vcs[v];
+                if (!ivc.buffer.empty())
+                    occMask |= std::uint64_t{1} << v;
+                if (ivc.routed && !ivc.viaCb)
+                    ++reqRecount[static_cast<std::size_t>(ivc.outPort) * nv +
+                                 static_cast<std::size_t>(ivc.outVc)];
             }
-            if (rt.reqCount_ != reqRecount) {
-                oss << "router " << rt.id_
-                    << ": requester refcounts diverged from recount";
+            if (ip.occMask != occMask) {
+                oss << "router " << rt.id_ << " input port " << p
+                    << ": occMask " << ip.occMask
+                    << " != recount " << occMask;
                 return fail(oss.str());
             }
-            for (std::size_t p = 0; p < rt.outputs_.size(); ++p) {
-                const Router::OutputPort &op = rt.outputs_[p];
-                std::uint64_t owned = 0;
-                std::uint64_t req = 0;
-                std::uint64_t cb = 0;
-                for (std::size_t v = 0; v < op.vcs.size(); ++v) {
-                    if (op.vcs[v].owner.kind !=
-                        Router::VcOwner::Kind::None)
-                        owned |= std::uint64_t{1} << v;
-                    if (reqRecount[p * static_cast<std::size_t>(
-                                           rt.numVcs_) +
-                                   v] > 0)
-                        req |= std::uint64_t{1} << v;
-                }
-                if (rt.cfg_.arch == RouterArch::CentralBuffer)
-                    for (std::size_t v = 0; v < op.vcs.size(); ++v)
-                        if (!rt.cbQueues_[p * static_cast<std::size_t>(
-                                                  rt.numVcs_) +
-                                          v]
-                                 .flits.empty())
-                            cb |= std::uint64_t{1} << v;
-                if (op.ownedMask != owned || op.reqMask != req ||
-                    op.cbMask != cb) {
-                    oss << "router " << rt.id_ << " output port " << p
-                        << ": sweep masks diverged (owned "
-                        << op.ownedMask << "/" << owned << ", req "
-                        << op.reqMask << "/" << req << ", cb "
-                        << op.cbMask << "/" << cb << ")";
-                    return fail(oss.str());
-                }
+        }
+        if (rt.reqCount_ != reqRecount) {
+            oss << "router " << rt.id_
+                << ": requester refcounts diverged from recount";
+            return fail(oss.str());
+        }
+        for (std::size_t p = 0; p < rt.outputs_.size(); ++p) {
+            const Router::OutputPort &op = rt.outputs_[p];
+            std::uint64_t owned = 0;
+            std::uint64_t req = 0;
+            std::uint64_t cb = 0;
+            for (std::size_t v = 0; v < op.vcs.size(); ++v) {
+                if (op.vcs[v].owner.kind !=
+                    Router::VcOwner::Kind::None)
+                    owned |= std::uint64_t{1} << v;
+                if (reqRecount[p * nv + v] > 0)
+                    req |= std::uint64_t{1} << v;
             }
+            if (rt.cfg_.arch == RouterArch::CentralBuffer)
+                for (std::size_t v = 0; v < op.vcs.size(); ++v)
+                    if (!rt.cbQueues_[p * nv + v].flits.empty())
+                        cb |= std::uint64_t{1} << v;
+            if (op.ownedMask != owned || op.reqMask != req ||
+                op.cbMask != cb) {
+                oss << "router " << rt.id_ << " output port " << p
+                    << ": sweep masks diverged (owned "
+                    << op.ownedMask << "/" << owned << ", req "
+                    << op.reqMask << "/" << req << ", cb "
+                    << op.cbMask << "/" << cb << ")";
+                return fail(oss.str());
+            }
+        }
 
-            // Port-activity words vs the per-port masks just checked.
-            std::uint64_t inActive = 0;
-            std::uint64_t outActive = 0;
-            for (std::size_t p = 0; p < rt.inputs_.size(); ++p) {
-                if (rt.inputs_[p].occMask)
-                    inActive |= std::uint64_t{1} << p;
-                const Router::OutputPort &op = rt.outputs_[p];
-                if (op.ownedMask | op.reqMask | op.cbMask)
-                    outActive |= std::uint64_t{1} << p;
-            }
-            if (rt.inActive_ != inActive ||
-                rt.outActive_ != outActive) {
-                oss << "router " << rt.id_
+        // Port-activity words vs the per-port masks just checked.
+        std::vector<std::uint64_t> inActive(rt.inActive_.size());
+        std::vector<std::uint64_t> outActive(rt.outActive_.size());
+        rt.countPortWords(inActive, outActive);
+        for (std::size_t w = 0; w < inActive.size(); ++w) {
+            if (rt.inActive_[w] != inActive[w] ||
+                rt.outActive_[w] != outActive[w]) {
+                oss << "router " << rt.id_ << " word " << w
                     << ": port-activity words diverged (in "
-                    << rt.inActive_ << "/" << inActive << ", out "
-                    << rt.outActive_ << "/" << outActive << ")";
+                    << rt.inActive_[w] << "/" << inActive[w] << ", out "
+                    << rt.outActive_[w] << "/" << outActive[w] << ")";
                 return fail(oss.str());
             }
         }

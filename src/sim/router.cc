@@ -92,9 +92,15 @@ Router::finalize(int numRouters)
 {
     SNOC_ASSERT(inputs_.size() == outputs_.size(),
                 "ports are added input/output-paired");
-    // Sweep masks index VCs and ports by bit position; wider routers
-    // keep the dense sweep.
-    masksEnabled_ = numVcs_ <= 64 && inputs_.size() <= 64;
+    // A port's VC masks index its VCs by bit position in one word.
+    if (numVcs_ > 64)
+        fatal("router ", id_, " needs ", numVcs_,
+              " VCs; a router supports at most 64");
+    // One activity bit per port; at least one word, so the walks
+    // never test for an empty bitset.
+    std::size_t words = std::max<std::size_t>(1, (inputs_.size() + 63) / 64);
+    inActive_.assign(words, 0);
+    outActive_.assign(words, 0);
     inputBusy_.assign(inputs_.size(), false);
     if (cfg_.arch == RouterArch::CentralBuffer) {
         cbCapacity_ = cfg_.centralBufferFlits;
@@ -246,21 +252,14 @@ Router::routeHeads()
         addRequest(ivc.outPort, ivc.outVc);
     };
 
-    if (!masksEnabled_) {
-        for (InputPort &ip : inputs_)
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v)
-                if (!ip.vcs[v].buffer.empty())
-                    routeVc(ip, v);
-        return;
-    }
     // Routing changes no input mask, so the active words are stable
     // for the whole walk.
-    for (std::uint64_t pm = inActive_; pm; pm &= pm - 1) {
-        InputPort &ip =
-            inputs_[static_cast<std::size_t>(std::countr_zero(pm))];
+    visitRotated(inActive_, 0, [&](int p) {
+        InputPort &ip = inputs_[static_cast<std::size_t>(p)];
         for (std::uint64_t m = ip.occMask; m; m &= m - 1)
             routeVc(ip, static_cast<std::size_t>(std::countr_zero(m)));
-    }
+        return false;
+    });
 }
 
 int
@@ -323,34 +322,20 @@ Router::cbIntake(Cycle now)
     // input VC that holds a CB-assigned packet. Round-robin over
     // input ports for fairness, phase-locked to the cycle counter
     // (see switchAllocate).
-    int n = static_cast<int>(inputs_.size());
-    int base = static_cast<int>((now + 1) %
-                                static_cast<Cycle>(n));
-    for (int k = 0; k < n; ++k) {
-        int p = (base + k) % n;
-        InputPort &ip = inputs_[static_cast<std::size_t>(p)];
+    int base = static_cast<int>(
+        (now + 1) % static_cast<Cycle>(inputs_.size()));
+    visitRotated(inActive_, base, [&](int p) {
         if (inputBusy_[static_cast<std::size_t>(p)])
-            continue;
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1) {
-                int v = std::countr_zero(m);
-                const InputVc &ivc =
-                    ip.vcs[static_cast<std::size_t>(v)];
-                if (!ivc.routed || !ivc.viaCb)
-                    continue;
-                if (cbIntakeFrom(ip, p, v, now))
-                    return;
-            }
-        } else {
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
-                const InputVc &ivc = ip.vcs[v];
-                if (!ivc.routed || !ivc.viaCb || ivc.buffer.empty())
-                    continue;
-                if (cbIntakeFrom(ip, p, static_cast<int>(v), now))
-                    return;
-            }
+            return false;
+        InputPort &ip = inputs_[static_cast<std::size_t>(p)];
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1) {
+            int v = std::countr_zero(m);
+            const InputVc &ivc = ip.vcs[static_cast<std::size_t>(v)];
+            if (ivc.routed && ivc.viaCb && cbIntakeFrom(ip, p, v, now))
+                return true;
         }
-    }
+        return false;
+    });
 }
 
 void
@@ -379,45 +364,27 @@ Router::switchAllocate(Cycle now)
     // per cycle from cycle 0) and lets the Network skip idle routers
     // without perturbing arbitration.
     int base = static_cast<int>(now % static_cast<Cycle>(numOutputs));
-    if (!masksEnabled_) {
-        for (int k = 0; k < numOutputs; ++k)
-            tryGrantOutput((base + k) % numOutputs, now);
-        return;
-    }
     // Visit the active ports in the order base, base+1, ..., base-1.
     // A port outside outActive_ has no VC that can act, and a grant
-    // at one port changes only that port's masks, so walking a
-    // snapshot skips exactly the ports the dense sweep finds idle.
-    std::uint64_t act = outActive_;
-    for (std::uint64_t m = act >> base; m; m &= m - 1)
-        tryGrantOutput(base + std::countr_zero(m), now);
-    for (std::uint64_t m = act & (bit(base) - 1); m; m &= m - 1)
-        tryGrantOutput(std::countr_zero(m), now);
+    // at one port changes only that port's bit, so the walk skips
+    // exactly the ports a dense sweep would find idle.
+    visitRotated(outActive_, base, [&](int port) {
+        tryGrantOutput(port, now);
+        return false;
+    });
 }
 
 bool
 Router::tryGrantOutput(int port, Cycle now)
 {
-    OutputPort &op = outputs_[static_cast<std::size_t>(port)];
-    if (!masksEnabled_) {
-        for (int kv = 0; kv < numVcs_; ++kv)
-            if (tryGrantOutputVc(port, (op.rrVc + kv) % numVcs_, now))
-                return true;
-        return false;
-    }
+    const OutputPort &op = outputs_[static_cast<std::size_t>(port)];
     // A VC can act only if it is owned, requested by a routed input
-    // VC, or backed by buffered CB flits; everything else is a
-    // provable no-op for the dense sweep too. Visit candidates in
-    // the exact round-robin order rrVc, rrVc+1, ..., rrVc-1.
+    // VC, or backed by buffered CB flits; every other VC is a no-op.
+    // Visit candidates in the round-robin order rrVc, ..., rrVc-1.
     std::uint64_t cand = op.ownedMask | op.reqMask | op.cbMask;
-    int r = op.rrVc;
-    for (std::uint64_t m = cand >> r; m; m &= m - 1)
-        if (tryGrantOutputVc(port, r + std::countr_zero(m), now))
-            return true;
-    for (std::uint64_t m = cand & (bit(r) - 1); m; m &= m - 1)
-        if (tryGrantOutputVc(port, std::countr_zero(m), now))
-            return true;
-    return false;
+    return visitRotated({&cand, 1}, op.rrVc, [&](int vc) {
+        return tryGrantOutputVc(port, vc, now);
+    });
 }
 
 bool
@@ -557,23 +524,11 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         return true;
     };
 
-    if (!masksEnabled_) {
-        for (int ki = 0; ki < numInputs; ++ki) {
-            int ipIdx = (op.rrInput + ki) % numInputs;
-            if (inputBusy_[static_cast<std::size_t>(ipIdx)])
-                continue;
-            InputPort &ip = inputs_[static_cast<std::size_t>(ipIdx)];
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v)
-                if (!ip.vcs[v].buffer.empty() && tryRequester(ipIdx, v))
-                    return true;
-        }
-        return false;
-    }
     // A requester holds a buffered head flit, so only ports in
     // inActive_ can win; visit them in the order rrInput,
     // rrInput+1, ..., rrInput-1. Nothing changes a mask before the
     // grant that ends the search.
-    auto tryPort = [&](int ipIdx) {
+    return visitRotated(inActive_, op.rrInput, [&](int ipIdx) {
         if (inputBusy_[static_cast<std::size_t>(ipIdx)])
             return false;
         const InputPort &ip = inputs_[static_cast<std::size_t>(ipIdx)];
@@ -582,15 +537,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
                                         std::countr_zero(m))))
                 return true;
         return false;
-    };
-    int r = op.rrInput;
-    for (std::uint64_t m = inActive_ >> r; m; m &= m - 1)
-        if (tryPort(r + std::countr_zero(m)))
-            return true;
-    for (std::uint64_t m = inActive_ & (bit(r) - 1); m; m &= m - 1)
-        if (tryPort(std::countr_zero(m)))
-            return true;
-    return false;
+    });
 }
 
 void
@@ -635,18 +582,14 @@ Router::cbDivert()
         ++pkt.hops;
     };
 
-    for (std::size_t ipIdx = 0; ipIdx < inputs_.size(); ++ipIdx) {
-        InputPort &ip = inputs_[ipIdx];
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1)
-                considerVc(ip, ipIdx, static_cast<std::size_t>(
-                                          std::countr_zero(m)));
-        } else {
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v)
-                if (!ip.vcs[v].buffer.empty())
-                    considerVc(ip, ipIdx, v);
-        }
-    }
+    // Diverting changes no input mask.
+    visitRotated(inActive_, 0, [&](int p) {
+        InputPort &ip = inputs_[static_cast<std::size_t>(p)];
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1)
+            considerVc(ip, static_cast<std::size_t>(p),
+                       static_cast<std::size_t>(std::countr_zero(m)));
+        return false;
+    });
 }
 
 void
@@ -693,8 +636,6 @@ Router::drainEjection(Cycle now, std::vector<PacketHandle> &delivered)
 void
 Router::rebuildSweepState()
 {
-    if (!masksEnabled_)
-        return;
     std::fill(reqCount_.begin(), reqCount_.end(), 0);
     for (OutputPort &op : outputs_) {
         op.ownedMask = 0;
@@ -723,14 +664,21 @@ Router::rebuildSweepState()
             outputs_[port].cbMask |= std::uint64_t{1} << vc;
         }
     }
-    inActive_ = 0;
-    outActive_ = 0;
+    countPortWords(inActive_, outActive_);
+}
+
+void
+Router::countPortWords(std::vector<std::uint64_t> &in,
+                       std::vector<std::uint64_t> &out) const
+{
+    std::fill(in.begin(), in.end(), 0);
+    std::fill(out.begin(), out.end(), 0);
     for (std::size_t p = 0; p < inputs_.size(); ++p) {
-        if (inputs_[p].occMask)
-            inActive_ |= std::uint64_t{1} << p;
         const OutputPort &op = outputs_[p];
+        if (inputs_[p].occMask)
+            setPort(in, static_cast<int>(p));
         if (op.ownedMask | op.reqMask | op.cbMask)
-            outActive_ |= std::uint64_t{1} << p;
+            setPort(out, static_cast<int>(p));
     }
 }
 

@@ -40,19 +40,22 @@
  *    allocator, and the CB stages visit only VCs that can act, which
  *    matters most under UGAL's numVcs = 2 * diameter where almost
  *    every VC is empty at any instant;
- *  - two router-level port-activity words sit above those masks:
- *    bit p of inActive_ is set iff input port p has an occupied VC,
- *    and bit p of outActive_ iff output port p has an owned,
- *    requested or CB-backed VC. routeHeads, the switch allocator
- *    and its per-VC requester search walk only their set bits, so
- *    an idle port of a high-radix router costs nothing;
- *    collectArrivals visits only the network ports, whose inlined
- *    channel pops cost one compare when idle.
+ *  - two router-level port-activity bitsets sit above those masks,
+ *    ceil(ports / 64) words each: bit p of inActive_ is set iff
+ *    input port p has an occupied VC, and bit p of outActive_ iff
+ *    output port p has an owned, requested or CB-backed VC.
+ *    routeHeads, the switch allocator, its per-VC requester search
+ *    and the CB stages walk only their set bits, so an idle port of
+ *    a high-radix router (clos_1296's 162-port spines) costs
+ *    nothing; collectArrivals visits only the network ports, whose
+ *    inlined channel pops cost one compare when idle.
  *
- * Mask iteration preserves the exact round-robin visit order, so
- * arbitration is bit-identical to the dense sweep (enforced by the
- * hotpath goldens). Routers with more than 64 VCs or more than 64
- * ports fall back to the dense sweep.
+ * Every round-robin walk goes through visitRotated(), which visits
+ * set bits in the exact order of a dense sweep from the round-robin
+ * pointer, so skipping idle ports and VCs never changes arbitration
+ * (enforced by the hotpath goldens and the clos_1296 fingerprints).
+ * A port's VC masks are one word, so finalize() rejects a router
+ * with more than 64 VCs.
  *
  * The fault purge rewrites router state wholesale and then calls
  * rebuildSweepState(); Network::auditInvariants() recounts every
@@ -62,7 +65,9 @@
 #ifndef SNOC_SIM_ROUTER_HH
 #define SNOC_SIM_ROUTER_HH
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ring_buffer.hh"
@@ -245,12 +250,11 @@ class Router
     SimCounters *counters_;
     int numVcs_;
     int numNetPorts_ = 0;
-    bool masksEnabled_ = true; //!< numVcs_ and the port count each
-                               //!< fit one mask word (set in
-                               //!< finalize)
-    std::uint64_t inActive_ = 0;  //!< bit p: inputs_[p].occMask != 0
-    std::uint64_t outActive_ = 0; //!< bit p: outputs_[p] has a bit set
-                                  //!< in ownedMask | reqMask | cbMask
+    // Port-activity bitsets, sized in finalize(): bit p of inActive_
+    // is set iff inputs_[p].occMask != 0, bit p of outActive_ iff
+    // outputs_[p] has a bit set in ownedMask | reqMask | cbMask.
+    std::vector<std::uint64_t> inActive_;
+    std::vector<std::uint64_t> outActive_;
 
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;
@@ -315,29 +319,74 @@ class Router
      *  purge returns credits over the normal credit wires. */
     void rebuildSweepState();
 
-    // --- incremental mask maintenance (no-ops when masks are
-    //     disabled by a > 64-VC or > 64-port configuration) ---
+    /** Derive the port-activity words from the per-port masks into
+     *  `in` and `out` (sized like inActive_ / outActive_). */
+    void countPortWords(std::vector<std::uint64_t> &in,
+                        std::vector<std::uint64_t> &out) const;
+
+    // --- incremental mask maintenance ---
 
     static std::uint64_t bit(int i) { return std::uint64_t{1} << i; }
+
+    static void
+    setPort(std::vector<std::uint64_t> &words, int port)
+    {
+        words[static_cast<std::size_t>(port >> 6)] |= bit(port & 63);
+    }
+
+    static void
+    clearPort(std::vector<std::uint64_t> &words, int port)
+    {
+        words[static_cast<std::size_t>(port >> 6)] &= ~bit(port & 63);
+    }
+
+    /**
+     * Visit the set bits of `words` in the rotated order start,
+     * start+1, ..., last, 0, ..., start-1, the order of a dense
+     * round-robin sweep from `start`; stop at, and return true on,
+     * the first visit(i) that returns true. A word is read when the
+     * walk reaches it, so visit(i) may change bit i but no bit the
+     * walk has yet to reach.
+     */
+    template <class Visit>
+    static bool
+    visitRotated(std::span<const std::uint64_t> words, int start,
+                 Visit &&visit)
+    {
+        auto walk = [&](std::size_t w, std::uint64_t m) {
+            for (; m; m &= m - 1)
+                if (visit(static_cast<int>(w * 64) + std::countr_zero(m)))
+                    return true;
+            return false;
+        };
+        std::size_t first = static_cast<std::size_t>(start >> 6);
+        std::uint64_t below = bit(start & 63) - 1;
+        if (walk(first, words[first] & ~below))
+            return true;
+        for (std::size_t w = first + 1; w < words.size(); ++w)
+            if (walk(w, words[w]))
+                return true;
+        for (std::size_t w = 0; w < first; ++w)
+            if (walk(w, words[w]))
+                return true;
+        return walk(first, words[first] & below);
+    }
 
     void
     markVcOccupied(InputPort &ip, int port, int vc)
     {
-        if (!masksEnabled_)
-            return;
         ip.occMask |= bit(vc);
-        inActive_ |= bit(port);
+        setPort(inActive_, port);
     }
 
     void
     markVcDrained(InputPort &ip, int port, int vc)
     {
-        if (!masksEnabled_ ||
-            !ip.vcs[static_cast<std::size_t>(vc)].buffer.empty())
+        if (!ip.vcs[static_cast<std::size_t>(vc)].buffer.empty())
             return;
         ip.occMask &= ~bit(vc);
         if (!ip.occMask)
-            inActive_ &= ~bit(port);
+            clearPort(inActive_, port);
     }
 
     /** Set bit `vc` of one of output `port`'s sweep masks
@@ -345,10 +394,8 @@ class Router
     void
     setOutputMask(int port, std::uint64_t OutputPort::*mask, int vc)
     {
-        if (!masksEnabled_)
-            return;
         outputs_[static_cast<std::size_t>(port)].*mask |= bit(vc);
-        outActive_ |= bit(port);
+        setPort(outActive_, port);
     }
 
     /** Clear bit `vc` of one of output `port`'s sweep masks; the port
@@ -356,19 +403,15 @@ class Router
     void
     clearOutputMask(int port, std::uint64_t OutputPort::*mask, int vc)
     {
-        if (!masksEnabled_)
-            return;
         OutputPort &op = outputs_[static_cast<std::size_t>(port)];
         op.*mask &= ~bit(vc);
         if (!(op.ownedMask | op.reqMask | op.cbMask))
-            outActive_ &= ~bit(port);
+            clearPort(outActive_, port);
     }
 
     void
     addRequest(int port, int vc)
     {
-        if (!masksEnabled_)
-            return;
         std::size_t i = static_cast<std::size_t>(port) *
                             static_cast<std::size_t>(numVcs_) +
                         static_cast<std::size_t>(vc);
@@ -379,8 +422,6 @@ class Router
     void
     dropRequest(int port, int vc)
     {
-        if (!masksEnabled_)
-            return;
         std::size_t i = static_cast<std::size_t>(port) *
                             static_cast<std::size_t>(numVcs_) +
                         static_cast<std::size_t>(vc);

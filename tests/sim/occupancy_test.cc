@@ -11,8 +11,9 @@
  * ownedMask / reqMask / cbMask, and the inActive / outActive port
  * words. These tests drive randomized traffic — with and without
  * mid-run fault purges — through that audit via SimInvariantChecker,
- * pin the dense sweep that routers wider than 64 ports fall back to,
- * and pin the public-API relationships the adaptive schemes rely on
+ * pin the arbitration of routers whose port words span several
+ * 64-bit words, reject routers with more than 64 VCs, and pin the
+ * public-API relationships the adaptive schemes rely on
  * (pathOccupancy == sum of linkOccupancy along the minimal path).
  */
 
@@ -24,6 +25,7 @@
 #include "graph/shortest_paths.hh"
 #include "sim/network.hh"
 #include "tests/support/sim_invariants.hh"
+#include "topo/grid_topologies.hh"
 #include "topo/table4.hh"
 
 namespace snoc {
@@ -215,13 +217,12 @@ runWide(const char *routerConfig, RoutingMode routing, int perCycle,
     return run;
 }
 
-TEST(OccupancyTracking, WideRoutersTakeTheDenseSweep)
+TEST(OccupancyTracking, WideMinimalRoutersKeepTheirArbitration)
 {
-    // clos_1296's spine routers have 162 ports, more than one mask
-    // word holds, so they run the dense sweep while the leaves run
-    // the mask sweep. The fingerprint was captured when every router
-    // took the mask path (port masks did not exist yet): equality
-    // proves the two paths arbitrate identically.
+    // clos_1296's spine routers have 162 ports: three port-activity
+    // words. This fingerprint dates from before port words existed
+    // and has held through the dense sweep wide routers once took;
+    // it pins the requester search's order across words.
     WideRun r = runWide("EB-Var", RoutingMode::Minimal, 48, 300, 0xc105);
     EXPECT_EQ(r.packets, 14387u);
     EXPECT_EQ(r.deliveryHash, 17698057111276848339ULL);
@@ -229,12 +230,13 @@ TEST(OccupancyTracking, WideRoutersTakeTheDenseSweep)
 }
 
 // The next two fingerprints were captured from the dense sweep the
-// 162-port spines take. Minimal EB-Var traffic enters a spine on one
-// VC, so each input requests one output and the output-port order
-// cannot show; here it does. Under CBR-6 the spine's single CB
-// output goes to the first output port in rotated order that drains
-// it (cbIntake/cbDivert run under contention too), and under UGAL-L
-// inputs hold heads on several VCs bound for different outputs.
+// 162-port spines took before the port words grew past one word.
+// Minimal EB-Var traffic enters a spine on one VC, so each input
+// requests one output and the output-port order cannot show. Under
+// CBR-6 it does: the spine's single CB output goes to the first
+// output port in rotated order that drains it, and cbIntake/cbDivert
+// run under contention. UGAL-L spreads traffic over all 13 spines on
+// several VCs, so every spine's requester search crosses words.
 TEST(OccupancyTracking, WideCentralBufferRoutersKeepTheirArbitration)
 {
     WideRun r = runWide("CBR-6", RoutingMode::Minimal, 64, 300, 0xcb1296);
@@ -249,6 +251,23 @@ TEST(OccupancyTracking, WideUgalRoutersKeepTheirArbitration)
     EXPECT_EQ(r.packets, 14393u);
     EXPECT_EQ(r.deliveryHash, 12069841858656520395ULL);
     EXPECT_EQ(r.counterHash, 14370668082627874315ULL);
+}
+
+TEST(OccupancyTracking, MoreThan64VcsFailAtConstruction)
+{
+    // A 34-router line has diameter 33, so UGAL asks for 2 x 33 VCs;
+    // a port's VC masks hold 64.
+    NocTopology line = makeConcentratedMesh("line_34", 34, 1, 1);
+    ASSERT_EQ(line.routers().diameter(), 33);
+    try {
+        Network net(line, RouterConfig::named("EB-Var"), LinkConfig{},
+                    RoutingMode::UgalL, /*seed=*/7);
+        FAIL() << "a 66-VC router was built";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("66 VCs"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(OccupancyTracking, PathOccupancyIsSumOfLinkOccupancies)
