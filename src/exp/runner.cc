@@ -240,8 +240,8 @@ runScenarioIsolated(const Scenario &s, long timeoutMs)
 }
 
 /**
- * Build the traffic source a scenario asks for (synthetic,
- * closed-loop, or collective; trace workloads never reach here).
+ * Build the traffic source a scenario asks for: synthetic,
+ * closed-loop, collective, or the replay of a generated trace.
  */
 TrafficSource
 makeScenarioSource(const Scenario &s, const NocTopology &topo)
@@ -257,7 +257,9 @@ makeScenarioSource(const Scenario &s, const NocTopology &topo)
       case TrafficSpec::Kind::Collective:
         return makeCollectiveSource(s.traffic.collective).source;
       case TrafficSpec::Kind::Workload:
-        SNOC_PANIC("trace workloads have no TrafficSource");
+        return makeTraceSource(generateTrace(
+            workloadByName(s.traffic.workload), topo,
+            s.traffic.workloadCycles, s.seed));
       case TrafficSpec::Kind::Synthetic:
         break;
     }
@@ -335,14 +337,11 @@ ExperimentRunner::runScenario(const Scenario &s)
     RouterConfig rc = RouterConfig::named(s.routerConfig);
     Network net(topo, rc, s.link, s.routing, s.routingSeed, s.faults);
 
-    if (s.traffic.kind == TrafficSpec::Kind::Workload) {
-        // Workload runs step the network inside runWorkload's
-        // reply-dependent loop.
-        const WorkloadProfile &w = workloadByName(s.traffic.workload);
-        return runWorkload(net, w, s.traffic.workloadCycles, s.seed);
-    }
-
-    return runSimulation(net, makeScenarioSource(s, topo), s.sim);
+    // A trace replay runs its trace's windows, not the `sim` block.
+    bool replay = s.traffic.kind == TrafficSpec::Kind::Workload;
+    return runSimulation(net, makeScenarioSource(s, topo),
+                         replay ? workloadSimConfig(s.traffic.workloadCycles)
+                                : s.sim);
 }
 
 /**

@@ -222,9 +222,25 @@ schema(Io &io, Scenario &s)
     io.field("link", &T::link);
     io.name("routing", &T::routing, routingModeFromName);
     io.field("traffic", &T::traffic);
-    io.field("load", &T::load, kNonNegative);
+    // Only open-loop synthetic traffic reads the offered load, and
+    // only UGAL draws from the routing seed. Anywhere else either
+    // would enter the cache key without changing the result.
+    using K = TrafficSpec::Kind;
+    io.when(s.traffic.kind, {K::Synthetic}, [&] {
+        io.field("load", &T::load, kNonNegative);
+    });
     io.field("seed", &T::seed);
-    io.field("routingSeed", &T::routingSeed);
+    io.when(s.routing, {RoutingMode::UgalL, RoutingMode::UgalG}, [&] {
+        io.field("routingSeed", &T::routingSeed);
+    });
+    if constexpr (Io::kReads) {
+        io.check(s.traffic.kind == K::Synthetic || !io.has("load"),
+                 "load", "only synthetic traffic has an offered load");
+        io.check(s.routing == RoutingMode::UgalL ||
+                     s.routing == RoutingMode::UgalG ||
+                     !io.has("routingSeed"),
+                 "routingSeed", "only UGAL routing reads a routing seed");
+    }
     io.field("sim", &T::sim);
     io.field("faults", &T::faults);
     // Presence of the member enables evaluation, so an enabled
@@ -262,6 +278,14 @@ schema(Io &io, Job &job)
                  "'sweep' and 'saturation' are exclusive");
         job.kind = sweep ? K::Sweep : saturation ? K::Saturation
                                                  : K::Single;
+        // Closed-loop jobs sweep their closedLoop axis, synthetic
+        // ones the load; other traffic has no axis to vary.
+        TrafficSpec::Kind traffic = job.scenario.traffic.kind;
+        io.check(job.kind == K::Single ||
+                     traffic == TrafficSpec::Kind::Synthetic ||
+                     traffic == TrafficSpec::Kind::ClosedLoop,
+                 sweep ? "sweep" : "saturation",
+                 "collective and trace scenarios have no axis to sweep");
     }
     io.when(job.kind, {K::Sweep}, [&] {
         io.object("sweep", [&](auto &sweep) {

@@ -91,9 +91,16 @@ sampleScenario(Rng &rng)
         s.traffic = TrafficSpec::synthetic(patterns[rng.nextUint(3)]);
         break;
     }
-    s.load = 0.03 + 0.3 * rng.nextDouble();
+    // Every draw is made, so the sampled population stays the same,
+    // but load and routingSeed are set only where the schema reads
+    // them (synthetic traffic; UGAL routing).
+    double load = 0.03 + 0.3 * rng.nextDouble();
+    if (s.traffic.kind == TrafficSpec::Kind::Synthetic)
+        s.load = load;
     s.seed = rng.next();
-    s.routingSeed = rng.next();
+    std::uint64_t routingSeed = rng.next();
+    if (s.routing == RoutingMode::UgalL || s.routing == RoutingMode::UgalG)
+        s.routingSeed = routingSeed;
     s.sim.warmupCycles = 150 + rng.nextUint(150);
     s.sim.measureCycles = 400 + rng.nextUint(300);
 

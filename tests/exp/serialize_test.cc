@@ -410,6 +410,36 @@ TEST(Serialize, ErrorsCarryTheJsonPath)
         R"({"jobs": [{"scenario": {"topology": "sn_54"},
                       "saturation": {"maxProbes": 0}}]})",
         "$.jobs[0].saturation.maxProbes: must be at least 1");
+
+    // Members that would enter the cache key without changing the
+    // result are rejected: the routing seed outside UGAL, the load
+    // outside synthetic traffic, and sweeps of traffic with no axis.
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54",
+                                   "routingSeed": 8}}]})",
+        "$.jobs[0].scenario.routingSeed: only UGAL routing reads");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54", "load": 0.2,
+             "traffic": {"closedLoop": {}}}}]})",
+        "$.jobs[0].scenario.load: only synthetic traffic");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54", "load": 0.2,
+             "traffic": {"collective": {}}}}]})",
+        "$.jobs[0].scenario.load: only synthetic traffic");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54", "load": 0.2,
+             "traffic": {"workload": "fft"}}}]})",
+        "$.jobs[0].scenario.load: only synthetic traffic");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54",
+                                   "traffic": {"collective": {}}},
+                      "sweep": {"loads": [0.1, 0.2]}}]})",
+        "$.jobs[0].sweep: collective and trace scenarios have no axis");
+    expectErrorContains(
+        R"({"jobs": [{"scenario": {"topology": "sn_54",
+                                   "traffic": {"workload": "fft"}},
+                      "saturation": {}}]})",
+        "$.jobs[0].saturation: collective and trace scenarios have no");
 }
 
 // --- Ios over the same schema declarations ----------------------------------
