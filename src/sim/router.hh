@@ -353,23 +353,25 @@ class Router
     visitRotated(std::span<const std::uint64_t> words, int start,
                  Visit &&visit)
     {
-        auto walk = [&](std::size_t w, std::uint64_t m) {
+        // Words first, first+1, ..., n-1, 0, ..., first: the first
+        // word's bits from `start` up come first, those below it last.
+        // One call site lets the compiler inline `visit`.
+        std::size_t n = words.size();
+        std::size_t first = static_cast<std::size_t>(start >> 6);
+        std::uint64_t below = bit(start & 63) - 1;
+        for (std::size_t k = 0, w = first; k <= n; ++k) {
+            std::uint64_t m = words[w];
+            if (k == 0)
+                m &= ~below;
+            else if (k == n)
+                m &= below;
             for (; m; m &= m - 1)
                 if (visit(static_cast<int>(w * 64) + std::countr_zero(m)))
                     return true;
-            return false;
-        };
-        std::size_t first = static_cast<std::size_t>(start >> 6);
-        std::uint64_t below = bit(start & 63) - 1;
-        if (walk(first, words[first] & ~below))
-            return true;
-        for (std::size_t w = first + 1; w < words.size(); ++w)
-            if (walk(w, words[w]))
-                return true;
-        for (std::size_t w = 0; w < first; ++w)
-            if (walk(w, words[w]))
-                return true;
-        return walk(first, words[first] & below);
+            if (++w == n)
+                w = 0;
+        }
+        return false;
     }
 
     void
