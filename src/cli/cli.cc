@@ -17,6 +17,7 @@
 #include "exp/serialize.hh"
 #include "power/tech_params.hh"
 #include "sim/router_config.hh"
+#include "topo/export.hh"
 #include "topo/table4.hh"
 #include "trace/trace.hh"
 #include "trace/workloads.hh"
@@ -38,6 +39,7 @@ usage(std::ostream &err)
            "collectives|configs|techs|formats|knobs>\n"
            "      [--markdown]\n"
            "  describe <scenario.json | plan.json>\n"
+           "  export <topology> dot|json\n"
            "  version\n"
            "exit status: 0 ok, 1 error, 2 usage, 3 jobs failed\n";
     return 2;
@@ -113,80 +115,20 @@ cmdList(const std::vector<std::string> &args, std::ostream &out,
 
 // --- snoc describe ----------------------------------------------------------
 
+/**
+ * A scenario as the schema renders it, defaults kept. A trace
+ * scenario runs its own windows instead of its `sim` block, a fact no
+ * schema member holds, so that one line is printed by hand.
+ */
 void
-describeScenario(const Scenario &s, std::ostream &out,
-                 const std::string &indent)
+describeTo(std::ostream &out, const Scenario &s, const JsonValue &full)
 {
-    out << indent << "label    " << s.describe() << "\n"
-        << indent << "topology " << s.topology << "  router "
-        << s.routerConfig << "  routing " << to_string(s.routing)
-        << "  smart H=" << s.link.hopsPerCycle << "\n";
-    switch (s.traffic.kind) {
-      case TrafficSpec::Kind::Workload:
-        out << indent << "traffic  workload " << s.traffic.workload
-            << " for " << s.traffic.workloadCycles << " cycles\n";
-        break;
-      case TrafficSpec::Kind::ClosedLoop: {
-        const ClosedLoopSpec &cl = s.traffic.closedLoop;
-        out << indent << "traffic  closed-loop "
-            << to_string(s.traffic.pattern) << ", window " << cl.window
-            << ", issue prob " << cl.issueProb << ", memory delay "
-            << cl.memoryDelay << "\n"
-            << indent << "         req/reply/fwd "
-            << cl.requestSizeFlits << "/" << cl.replySizeFlits << "/"
-            << cl.forwardSizeFlits << " flits, forward fraction "
-            << cl.forwardFraction << ", sweep axis "
-            << to_string(cl.sweepAxis);
-        if (cl.stopAfterRequests > 0)
-            out << ", stop after " << cl.stopAfterRequests
-                << " requests";
-        out << "\n";
-        break;
-      }
-      case TrafficSpec::Kind::Collective: {
-        const CollectiveSpec &coll = s.traffic.collective;
-        out << indent << "traffic  collective "
-            << to_string(coll.kind) << ", root " << coll.root
-            << ", rounds "
-            << (coll.rounds > 0 ? std::to_string(coll.rounds)
-                                : std::string("unlimited"))
-            << ", gap " << coll.gapCycles << "\n"
-            << indent << "         payload/control "
-            << coll.payloadSizeFlits << "/" << coll.controlSizeFlits
-            << " flits";
-        if (coll.fanout > 0)
-            out << ", fanout " << coll.fanout;
-        if (coll.phases > 0)
-            out << ", phases " << coll.phases;
-        out << "\n";
-        break;
-      }
-      case TrafficSpec::Kind::Synthetic:
-        out << indent << "traffic  " << to_string(s.traffic.pattern)
-            << " @ load " << s.load << ", "
-            << s.traffic.packetSizeFlits << " flits/packet\n";
-        break;
-    }
+    out << full.dump(2) << "\n";
     if (s.traffic.kind == TrafficSpec::Kind::Workload) {
-        // Trace replay runs its own windows; `sim` is ignored.
         SimConfig w = workloadSimConfig(s.traffic.workloadCycles);
-        out << indent << "windows  warmup " << w.warmupCycles
-            << ", measure " << w.measureCycles << ", drain on\n";
-    } else {
-        out << indent << "windows  warmup " << s.sim.warmupCycles
-            << ", measure " << s.sim.measureCycles << "\n";
+        out << "windows  warmup " << w.warmupCycles << ", measure "
+            << w.measureCycles << ", drain on\n";
     }
-    out << indent << "seeds    traffic " << s.seed << ", routing "
-        << s.routingSeed << "\n";
-    if (s.faults.active())
-        out << indent << "faults   " << s.faults.events.size()
-            << " explicit events, random fraction "
-            << s.faults.randomLinkFraction << " at cycle "
-            << s.faults.randomFailAt << " (seed "
-            << s.faults.faultSeed << ")\n";
-    if (s.energy.enabled)
-        out << indent << "energy   " << s.energy.tech << " corner, "
-            << s.energy.flitBits << "-bit flits\n";
 }
 
 int
@@ -202,44 +144,34 @@ cmdDescribe(const std::string &path, std::ostream &out)
                                                  : plan.name)
             << "\n"
             << "file     " << resolved << "\n"
-            << "jobs     " << plan.jobs.size() << "\n\n";
+            << "jobs     " << plan.jobs.size() << "\n";
         for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
             const Job &job = plan.jobs[i];
-            out << "[" << i << "] ";
-            switch (job.kind) {
-            case Job::Kind::Single:
-                out << "single\n";
-                break;
-            case Job::Kind::Sweep: {
-                out << "sweep over " << job.loads.size()
-                    << " loads (";
-                for (std::size_t k = 0; k < job.loads.size(); ++k)
-                    out << (k ? " " : "") << job.loads[k];
-                out << ")"
-                    << (job.stopAtSaturation ? ", stop at saturation"
-                                             : "")
-                    << "\n";
-                break;
-            }
-            case Job::Kind::Saturation:
-                out << "saturation search ["
-                    << job.saturation.loLoad << ", "
-                    << job.saturation.hiLoad << "], tolerance "
-                    << job.saturation.tolerance << ", max "
-                    << job.saturation.maxProbes << " probes\n";
-                break;
-            }
-            describeScenario(job.scenario, out, "    ");
+            out << "\n[" << i << "] " << job.scenario.describe() << "\n";
+            describeTo(out, job.scenario, toFullJson(job));
         }
         out << "\ncanonical form:\n" << serializePlan(plan);
         return 0;
     }
 
     Scenario s = scenarioFromJson(doc);
-    out << "scenario\n"
+    out << "scenario " << s.describe() << "\n"
         << "file     " << resolved << "\n";
-    describeScenario(s, out, "");
+    describeTo(out, s, toFullJson(s));
     out << "\ncanonical form:\n" << serializeScenario(s);
+    return 0;
+}
+
+// --- snoc export ------------------------------------------------------------
+
+int
+cmdExport(const std::vector<std::string> &args, std::ostream &out,
+          std::ostream &err)
+{
+    if (args.size() != 2 || (args[1] != "dot" && args[1] != "json"))
+        return usage(err);
+    NocTopology topo = makeNamedTopology(args[0]);
+    (args[1] == "dot" ? writeDot : writeJson)(topo, out);
     return 0;
 }
 
@@ -297,16 +229,18 @@ writeManifest(const std::string &manifestPath,
     }
     m.set("knobs", std::move(knobs));
 
+    // The seeds each scenario reads, as the schema declares them:
+    // `routingSeed` exists only under UGAL routing.
     JsonValue seeds = JsonValue::array();
     for (const Job &job : plan.jobs) {
+        JsonValue full = toFullJson(job.scenario);
         JsonValue s = JsonValue::object();
         s.set("label", JsonValue::string(job.scenario.describe()));
-        s.set("seed", JsonValue::number(job.scenario.seed));
-        s.set("routingSeed",
-              JsonValue::number(job.scenario.routingSeed));
+        for (const char *key : {"seed", "routingSeed"})
+            if (const JsonValue *v = full.find(key))
+                s.set(key, *v);
         if (job.scenario.faults.active())
-            s.set("faultSeed",
-                  JsonValue::number(job.scenario.faults.faultSeed));
+            s.set("faultSeed", *full.find("faults")->find("faultSeed"));
         seeds.push(std::move(s));
     }
     m.set("seeds", std::move(seeds));
@@ -561,6 +495,8 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
             return cmdList(rest, out, err);
         if (cmd == "describe" && rest.size() == 1)
             return cmdDescribe(rest[0], out);
+        if (cmd == "export")
+            return cmdExport(rest, out, err);
         if (cmd == "version" || cmd == "--version") {
             out << "snoc " << gitDescribe() << "\n";
             return 0;

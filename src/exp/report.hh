@@ -4,8 +4,8 @@
  * ResultSink with one row per executed point.
  *
  * This is the presentation layer of the data-driven experiment API:
- * any plan — hand-written JSON, a ported bench campaign, a
- * makeResiliencePlan() expansion — renders the same way, so
+ * any plan — a committed plan file, hand-written JSON, a plan built
+ * in code by a bench binary — renders the same way, so
  * `snoc run <plan>` and a bench binary executing the same plan emit
  * byte-identical output for every sink format. Columns cover the
  * scenario identity (via Scenario::describe(), the single labeling

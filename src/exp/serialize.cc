@@ -40,9 +40,13 @@ struct GatedIo
 };
 
 template <class V>
-JsonValue toValue(const V &v);
+JsonValue toValue(const V &v, bool keepDefaults);
 
-/** Writer: the canonical minimal form of one T, in schema order. */
+/**
+ * Writer: one T in schema order. The canonical minimal form omits
+ * optional members at their default; with `keepDefaults` every member
+ * whose gate holds is written (the full form).
+ */
 template <class T>
 class Writer : public GatedIo
 {
@@ -50,21 +54,24 @@ class Writer : public GatedIo
     static constexpr bool kReads = false;
     JsonValue out = JsonValue::object();
 
-    explicit Writer(const T &x) : x_(x) {}
+    Writer(const T &x, bool keepDefaults)
+        : x_(x), keepDefaults_(keepDefaults)
+    {
+    }
 
     template <class M, class Rule = AnyValue>
     void
     field(const char *key, M T::*m, Rule = {}, Presence p = kOptional)
     {
-        if (p != kOptional || !(x_.*m == defaults().*m))
-            out.set(key, toValue(x_.*m));
+        if (keep(p) || !(x_.*m == defaults().*m))
+            out.set(key, toValue(x_.*m, keepDefaults_));
     }
 
     template <class E, class FromName>
     void
     name(const char *key, E T::*m, FromName, Presence p = kOptional)
     {
-        if (p != kOptional || x_.*m != defaults().*m)
+        if (keep(p) || x_.*m != defaults().*m)
             out.set(key, JsonValue::string(to_string(x_.*m)));
     }
 
@@ -72,7 +79,7 @@ class Writer : public GatedIo
     void
     object(const char *key, Fn fn)
     {
-        Writer group(x_);
+        Writer group(x_, keepDefaults_);
         fn(group);
         out.set(key, std::move(group.out));
     }
@@ -81,6 +88,9 @@ class Writer : public GatedIo
 
   private:
     const T &x_;
+    bool keepDefaults_;
+
+    bool keep(Presence p) const { return keepDefaults_ || p != kOptional; }
 
     static const T &
     defaults()
@@ -92,7 +102,7 @@ class Writer : public GatedIo
 
 template <class V>
 JsonValue
-toValue(const V &v)
+toValue(const V &v, bool keepDefaults)
 {
     if constexpr (std::is_same_v<V, bool>) {
         return JsonValue::boolean(v);
@@ -103,12 +113,12 @@ toValue(const V &v)
     } else if constexpr (kIsVector<V>) {
         JsonValue items = JsonValue::array();
         for (const auto &item : v)
-            items.push(toValue(item));
+            items.push(toValue(item, keepDefaults));
         return items;
     } else {
         // schema() takes T& for the reader's sake; the writer only
         // reads through it.
-        Writer<V> w(v);
+        Writer<V> w(v, keepDefaults);
         schema(w, const_cast<V &>(v));
         return std::move(w.out);
     }
@@ -252,7 +262,7 @@ read(const JsonValue &v, const std::string &path)
 
 // One toJson / fromJson pair per struct, both driven by its schema.
 #define SNOC_JSON_PAIR(Type, fromJson)                                  \
-    JsonValue toJson(const Type &x) { return toValue(x); }             \
+    JsonValue toJson(const Type &x) { return toValue(x, false); }      \
     Type fromJson(const JsonValue &v, const std::string &path)         \
     {                                                                  \
         return read<Type>(v, path);                                    \
@@ -275,7 +285,7 @@ SNOC_JSON_PAIR(JobResult, jobResultFromJson)
 JsonValue
 toJson(const EnergySpec &energy)
 {
-    return toValue(energy);
+    return toValue(energy, false);
 }
 
 EnergySpec
@@ -284,6 +294,18 @@ energySpecFromJson(const JsonValue &v, const std::string &path)
     EnergySpec energy = read<EnergySpec>(v, path);
     energy.enabled = true; // presence of the member enables it
     return energy;
+}
+
+JsonValue
+toFullJson(const Scenario &scenario)
+{
+    return toValue(scenario, true);
+}
+
+JsonValue
+toFullJson(const Job &job)
+{
+    return toValue(job, true);
 }
 
 // --- text round trip --------------------------------------------------------

@@ -35,6 +35,17 @@ JsonValue toJson(const Scenario &scenario);
 JsonValue toJson(const Job &job);
 JsonValue toJson(const ExperimentPlan &plan);
 
+// --- struct -> JsonValue (full form, for display) --------------------------
+
+/**
+ * Every member the schema declares for this value, defaults included,
+ * in canonical order. Gated members still follow their gate (e.g.
+ * `routingSeed` only under UGAL routing). `snoc describe` and the run
+ * manifest print it; it is never a cache key.
+ */
+JsonValue toFullJson(const Scenario &scenario);
+JsonValue toFullJson(const Job &job);
+
 // --- JsonValue -> struct (strict; `path` prefixes error messages) -----------
 
 TrafficSpec trafficSpecFromJson(const JsonValue &v,

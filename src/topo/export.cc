@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "common/json.hh"
+
 namespace snoc {
 
 void
@@ -27,32 +29,39 @@ writeDot(const NocTopology &topo, std::ostream &os)
 void
 writeJson(const NocTopology &topo, std::ostream &os)
 {
-    os << "{\n"
-       << "  \"name\": \"" << topo.name() << "\",\n"
-       << "  \"cycle_time_ns\": " << topo.cycleTimeNs() << ",\n"
-       << "  \"dim_x\": " << topo.placement().dimX() << ",\n"
-       << "  \"dim_y\": " << topo.placement().dimY() << ",\n"
-       << "  \"num_nodes\": " << topo.numNodes() << ",\n"
-       << "  \"routers\": [";
+    JsonValue routers = JsonValue::array();
     for (int r = 0; r < topo.numRouters(); ++r) {
         const Coord &c = topo.placement().coordOf(r);
-        os << (r ? "," : "") << "\n    {\"id\": " << r
-           << ", \"x\": " << c.x << ", \"y\": " << c.y
-           << ", \"nodes\": " << topo.concentrationOf(r) << "}";
+        JsonValue router = JsonValue::object();
+        router.set("id", JsonValue::number(r));
+        router.set("x", JsonValue::number(c.x));
+        router.set("y", JsonValue::number(c.y));
+        router.set("nodes", JsonValue::number(topo.concentrationOf(r)));
+        routers.push(std::move(router));
     }
-    os << "\n  ],\n  \"links\": [";
-    bool first = true;
+    JsonValue links = JsonValue::array();
     for (int u = 0; u < topo.numRouters(); ++u) {
         for (int v : topo.routers().neighbors(u)) {
             if (v <= u)
                 continue;
-            os << (first ? "" : ",") << "\n    {\"a\": " << u
-               << ", \"b\": " << v << ", \"length\": "
-               << topo.placement().distance(u, v) << "}";
-            first = false;
+            JsonValue link = JsonValue::object();
+            link.set("a", JsonValue::number(u));
+            link.set("b", JsonValue::number(v));
+            link.set("length",
+                     JsonValue::number(topo.placement().distance(u, v)));
+            links.push(std::move(link));
         }
     }
-    os << "\n  ]\n}\n";
+
+    JsonValue doc = JsonValue::object();
+    doc.set("name", JsonValue::string(topo.name()));
+    doc.set("cycle_time_ns", JsonValue::number(topo.cycleTimeNs()));
+    doc.set("dim_x", JsonValue::number(topo.placement().dimX()));
+    doc.set("dim_y", JsonValue::number(topo.placement().dimY()));
+    doc.set("num_nodes", JsonValue::number(topo.numNodes()));
+    doc.set("routers", std::move(routers));
+    doc.set("links", std::move(links));
+    os << doc.dump(2) << "\n";
 }
 
 } // namespace snoc

@@ -22,9 +22,10 @@ namespace snoc {
 void writeDot(const NocTopology &topo, std::ostream &os);
 
 /**
- * Write a JSON object:
+ * Write a JSON object (pretty-printed by common/json's writer):
  * {
  *   "name": ..., "cycle_time_ns": ..., "dim_x": ..., "dim_y": ...,
+ *   "num_nodes": ...,
  *   "routers": [{"id":0,"x":0,"y":0,"nodes":4}, ...],
  *   "links":   [{"a":0,"b":7,"length":3}, ...]
  * }

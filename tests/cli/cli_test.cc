@@ -2,10 +2,11 @@
  * @file
  * In-process tests for the `snoc` CLI driver: `list` must enumerate
  * exactly the registered set of every scenario axis, `describe` must
- * resolve committed plan files, and `run` on the committed CI smoke
- * plan must reproduce the checked-in golden JSON byte-for-byte
- * (engine determinism makes that well-defined for any worker count)
- * and write a well-formed run manifest.
+ * resolve committed plan files and render them through the schema,
+ * `export` must print the topology exporters' output, and `run` on
+ * the committed CI smoke plan must reproduce the checked-in golden
+ * JSON byte-for-byte (engine determinism makes that well-defined for
+ * any worker count) and write a well-formed run manifest.
  */
 
 #include "cli/cli.hh"
@@ -26,6 +27,7 @@
 #include "power/tech_params.hh"
 #include "sim/router_config.hh"
 #include "sim/routing.hh"
+#include "topo/export.hh"
 #include "topo/table4.hh"
 #include "trace/workloads.hh"
 #include "traffic/patterns.hh"
@@ -208,6 +210,74 @@ TEST(Cli, DescribePrintsTheWindowsATraceScenarioRuns)
     EXPECT_EQ(out.find("warmup 2000"), std::string::npos) << out;
 }
 
+TEST(Cli, DescribeRendersEachJobThroughTheSchema)
+{
+    std::string out;
+    ASSERT_EQ(cli({"describe", "plans/ci_smoke.json"}, &out), 0);
+    std::size_t canonical = out.find("\ncanonical form:");
+    ASSERT_NE(canonical, std::string::npos);
+
+    // Job i's section runs from its "[i] " line to the next one.
+    std::vector<std::string> jobs;
+    for (std::size_t i = 0;; ++i) {
+        std::size_t at = out.find("\n[" + std::to_string(i) + "] ");
+        if (at == std::string::npos || at > canonical)
+            break;
+        std::size_t next =
+            out.find("\n[" + std::to_string(i + 1) + "] ", at);
+        jobs.push_back(out.substr(at, std::min(next, canonical) - at));
+    }
+    ASSERT_EQ(jobs.size(), 4u) << out;
+
+    // Defaults are shown resolved, and a gated member only where its
+    // gate holds: job [1] alone routes with ugal-l.
+    EXPECT_NE(jobs[0].find("\"routerConfig\": \"EB-Var\""),
+              std::string::npos)
+        << jobs[0];
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(jobs[i].find("\"routingSeed\"") != std::string::npos,
+                  i == 1)
+            << jobs[i];
+    // Only synthetic traffic has an offered load; job [2] replays a
+    // trace.
+    EXPECT_EQ(jobs[2].find("\"load\""), std::string::npos) << jobs[2];
+    EXPECT_NE(jobs[0].find("\"load\""), std::string::npos) << jobs[0];
+}
+
+TEST(Cli, ExportDotPrintsWhatWriteDotPrints)
+{
+    std::string out;
+    ASSERT_EQ(cli({"export", "sn_54", "dot"}, &out), 0);
+    std::ostringstream expected;
+    writeDot(makeNamedTopology("sn_54"), expected);
+    EXPECT_EQ(out, expected.str());
+}
+
+TEST(Cli, ExportJsonHasOneRecordPerRouterAndLink)
+{
+    std::string out;
+    ASSERT_EQ(cli({"export", "sn_54", "json"}, &out), 0);
+    NocTopology topo = makeNamedTopology("sn_54");
+    JsonValue doc = JsonValue::parse(out, "sn_54.json");
+    EXPECT_EQ(doc.find("name")->asString("$.name"), "sn_54");
+    EXPECT_EQ(doc.find("routers")->items("$.routers").size(),
+              static_cast<std::size_t>(topo.numRouters()));
+    EXPECT_EQ(doc.find("links")->items("$.links").size(),
+              static_cast<std::size_t>(topo.routers().numEdges()));
+}
+
+TEST(Cli, ExportRejectsUnknownTopologiesAndFormats)
+{
+    std::string out, err;
+    EXPECT_EQ(cli({"export", "no_such_net", "dot"}, &out, &err), 1);
+    EXPECT_NE(err.find("unknown topology id 'no_such_net'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(cli({"export", "sn_54", "csv"}, &out, &err), 2);
+    EXPECT_NE(err.find("usage:"), std::string::npos);
+    EXPECT_EQ(cli({"export", "sn_54"}, &out, &err), 2);
+}
+
 TEST(Cli, BadSweepLoadIsAParseErrorNotAnAbort)
 {
     // A negative load used to pass the parser and abort the whole
@@ -257,7 +327,17 @@ TEST(Cli, RunMatchesTheCommittedGoldenAndWritesAManifest)
     EXPECT_EQ(manifest.find("threads")->asU64("$.threads"), 2u);
     ASSERT_NE(manifest.find("version"), nullptr);
     ASSERT_NE(manifest.find("seeds"), nullptr);
-    EXPECT_EQ(manifest.find("seeds")->items("$.seeds").size(), 4u);
+    const auto &seeds = manifest.find("seeds")->items("$.seeds");
+    ASSERT_EQ(seeds.size(), 4u);
+    // Every job records its traffic seed; only job 1 (ugal-l) reads
+    // a routing seed, and only job 1 arms a fault plan.
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+        EXPECT_NE(seeds[i].find("seed"), nullptr) << i;
+        EXPECT_EQ(seeds[i].find("routingSeed") != nullptr, i == 1) << i;
+        EXPECT_EQ(seeds[i].find("faultSeed") != nullptr, i == 1) << i;
+    }
+    EXPECT_EQ(seeds[1].find("routingSeed")->asU64("$.routingSeed"), 7u);
+    EXPECT_EQ(seeds[1].find("faultSeed")->asU64("$.faultSeed"), 5u);
     // Every declared knob is recorded.
     for (const EnvKnob &k : envKnobs())
         EXPECT_NE(manifest.find("knobs")->find(k.name), nullptr)

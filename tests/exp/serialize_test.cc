@@ -241,6 +241,12 @@ TEST(Serialize, RoundTripIsExact)
     EXPECT_EQ(serializeScenario(plain),
               "{\n  \"topology\": \"sn_54\"\n}\n");
     EXPECT_TRUE(parseScenario(serializeScenario(plain)) == plain);
+
+    // The full form (`snoc describe`) is a valid plan fragment too:
+    // every member it writes is one the strict reader accepts.
+    for (const Job &job : plan.jobs)
+        EXPECT_TRUE(jobFromJson(toFullJson(job)) == job);
+    EXPECT_TRUE(scenarioFromJson(toFullJson(plain)) == plain);
 }
 
 TEST(Serialize, DescribeIncludesRoutingAndFaults)

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/resilience.hh"
 #include "exp/runner.hh"
 #include "sim/network.hh"
 #include "tests/support/sim_invariants.hh"
@@ -319,35 +318,6 @@ TEST(FaultInjection, ScenarioCarriesFaultPlanThroughTheEngine)
     EXPECT_EQ(r.throughput, r2.throughput);
     EXPECT_EQ(r.counters.flitsDropped, r2.counters.flitsDropped);
     EXPECT_EQ(r.packetsDelivered, r2.packetsDelivered);
-}
-
-TEST(FaultInjection, ResiliencePlanSpansTheGrid)
-{
-    Scenario base;
-    base.topology = "sn_54";
-    base.traffic = TrafficSpec::synthetic(PatternKind::Random);
-    base.sim.warmupCycles = 250;
-
-    ResilienceSpec spec;
-    spec.failureFractions = {0.0, 0.10};
-    spec.loads = {0.05, 0.20};
-    ExperimentPlan plan = makeResiliencePlan(base, spec);
-
-    ASSERT_EQ(plan.size(), 4u);
-    for (const Job &j : plan.jobs) {
-        EXPECT_EQ(j.kind, Job::Kind::Single);
-        EXPECT_TRUE(j.scenario.faults.active());
-        EXPECT_EQ(j.scenario.faults.randomFailAt, 250u);
-        EXPECT_FALSE(j.scenario.label.empty());
-    }
-    EXPECT_DOUBLE_EQ(plan.jobs[0].scenario.faults.randomLinkFraction,
-                     0.0);
-    EXPECT_DOUBLE_EQ(plan.jobs[2].scenario.faults.randomLinkFraction,
-                     0.10);
-    EXPECT_DOUBLE_EQ(plan.jobs[1].scenario.load, 0.20);
-    // Distinct fractions draw from distinct seeds.
-    EXPECT_NE(plan.jobs[0].scenario.faults.faultSeed,
-              plan.jobs[2].scenario.faults.faultSeed);
 }
 
 TEST(FaultInjection, PlanResolutionIsDeterministic)

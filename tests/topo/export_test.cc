@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "topo/export.hh"
 #include "topo/slimnoc_topology.hh"
@@ -43,24 +44,33 @@ TEST(Export, JsonIsStructurallySound)
     NocTopology topo = makeNamedTopology("t2d4");
     std::ostringstream oss;
     writeJson(topo, oss);
-    std::string s = oss.str();
-    EXPECT_NE(s.find("\"name\": \"t2d4\""), std::string::npos);
-    EXPECT_NE(s.find("\"num_nodes\": 200"), std::string::npos);
-    EXPECT_NE(s.find("\"routers\": ["), std::string::npos);
-    EXPECT_NE(s.find("\"links\": ["), std::string::npos);
-    // Balanced braces and brackets (crude well-formedness check).
-    EXPECT_EQ(std::count(s.begin(), s.end(), '{'),
-              std::count(s.begin(), s.end(), '}'));
-    EXPECT_EQ(std::count(s.begin(), s.end(), '['),
-              std::count(s.begin(), s.end(), ']'));
-    // One router record per router.
-    std::size_t records = 0;
-    std::size_t pos = 0;
-    while ((pos = s.find("{\"id\":", pos)) != std::string::npos) {
-        ++records;
-        ++pos;
-    }
-    EXPECT_EQ(records, static_cast<std::size_t>(topo.numRouters()));
+    JsonValue doc = JsonValue::parse(oss.str(), "t2d4.json");
+    EXPECT_EQ(doc.find("name")->asString("$.name"), "t2d4");
+    EXPECT_EQ(doc.find("num_nodes")->asInt("$.num_nodes"), 200);
+    EXPECT_EQ(doc.find("dim_x")->asInt("$.dim_x"),
+              topo.placement().dimX());
+    // One router record per router, one link record per edge.
+    const auto &routers = doc.find("routers")->items("$.routers");
+    ASSERT_EQ(routers.size(), static_cast<std::size_t>(topo.numRouters()));
+    for (int r = 0; r < topo.numRouters(); ++r)
+        EXPECT_EQ(routers[r].find("nodes")->asInt("$.nodes"),
+                  topo.concentrationOf(r));
+    EXPECT_EQ(doc.find("links")->items("$.links").size(),
+              static_cast<std::size_t>(topo.routers().numEdges()));
+}
+
+TEST(Export, JsonEscapesTheTopologyName)
+{
+    // A name with a quote and a backslash still parses back exactly.
+    NocTopology sn = makeNamedTopology("sn_54");
+    const std::string name = "say \"hi\" \\ bye";
+    NocTopology topo(name, sn.routers(), sn.placement(),
+                     std::vector<int>(sn.numRouters(), 1),
+                     sn.cycleTimeNs());
+    std::ostringstream oss;
+    writeJson(topo, oss);
+    EXPECT_EQ(JsonValue::parse(oss.str()).find("name")->asString("$.name"),
+              name);
 }
 
 TEST(Export, ExactNodeTrimming)
